@@ -213,6 +213,7 @@ func (st *Store) CompactArenas() {
 	if st.repr != ReprCSR {
 		return
 	}
+	st.mergeQueued()
 	for _, v := range st.vars {
 		if v.parent != nil {
 			v.ReleaseStorage()

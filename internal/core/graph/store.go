@@ -7,6 +7,11 @@
 // the public façade (internal/solver) built on top of it.
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Store owns the variables of one constraint system: the live list walked
 // by whole-graph operations, the creation-index space shared with the
 // oracle, and the merge epoch that drives lazy adjacency canonicalisation
@@ -16,7 +21,8 @@ package graph
 // access.
 type Store struct {
 	vars    []*Var // live variables in creation order, lazily compacted
-	dead    int    // eliminated variables still present in vars
+	queued  []*Var // reset variables compaction had dropped from vars, by id
+	dead    int    // eliminated variables still present in vars or queued
 	created []*Var // creation-index → variable handed out (aliases included)
 
 	mergeEpoch uint64 // bumped on every collapse; drives lazy compaction
@@ -71,9 +77,13 @@ func (st *Store) BumpMergeEpoch() { st.mergeEpoch++ }
 // capacity retired, arenas stay attached), forwarding pointer removed,
 // search mark and least-solution slot zeroed. The retraction engine calls
 // it for every variable in a dirty cone before replaying the surviving
-// constraints; callers must follow up with RebuildLive so the live list and
-// dead count reflect the un-forwarded variables.
+// constraints. A variable it un-forwards is live again: one still listed
+// stops counting as dead, and one that compaction already dropped is queued
+// for the next whole-graph walk to merge back in creation order.
 func (st *Store) ResetVar(v *Var) {
+	if v.parent != nil {
+		st.relist(v)
+	}
 	v.ReleaseStorage()
 	v.parent = nil
 	v.Mark = 0
@@ -81,25 +91,48 @@ func (st *Store) ResetVar(v *Var) {
 	v.Sol = SolSlot{}
 }
 
-// RebuildLive reconstructs the live list from the creation-index space:
-// every distinct created variable, in creation order, with the dead count
-// recomputed from the forwarding pointers. Oracle pre-merged aliases occupy
-// several creation indices with one variable; they are listed once.
-func (st *Store) RebuildLive() {
-	seen := make(map[*Var]struct{}, len(st.created))
-	st.vars = st.vars[:0]
-	st.dead = 0
-	for _, v := range st.created {
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		st.vars = append(st.vars, v)
-		if v.parent != nil {
-			st.dead++
+// relist accounts for the forwarded variable v becoming live again.
+func (st *Store) relist(v *Var) {
+	if _, listed := slices.BinarySearchFunc(st.vars, v, byID); listed {
+		st.dead--
+		return
+	}
+	i, queued := slices.BinarySearchFunc(st.queued, v, byID)
+	if queued {
+		st.dead--
+		return
+	}
+	st.queued = slices.Insert(st.queued, i, v)
+}
+
+func byID(a, b *Var) int { return cmp.Compare(a.id, b.id) }
+
+// mergeQueued merges the queued variables back into the live list, in
+// creation order, filling it from the back so nothing is allocated beyond
+// the list's growth.
+func (st *Store) mergeQueued() {
+	q := st.queued
+	if len(q) == 0 {
+		return
+	}
+	i, j := len(st.vars)-1, len(q)-1
+	st.vars = slices.Grow(st.vars, len(q))[:len(st.vars)+len(q)]
+	for k := len(st.vars) - 1; j >= 0; k-- {
+		if i >= 0 && st.vars[i].id > q[j].id {
+			st.vars[k] = st.vars[i]
+			i--
+		} else {
+			st.vars[k] = q[j]
+			j--
 		}
 	}
+	clear(q)
+	st.queued = q[:0]
 }
+
+// NumLive returns the number of canonical (non-eliminated) variables in
+// O(1): the length CanonicalVars would return.
+func (st *Store) NumLive() int { return len(st.vars) + len(st.queued) - st.dead }
 
 // Clean lazily canonicalises v's variable adjacency after collapses.
 func (st *Store) Clean(v *Var) {
@@ -111,11 +144,13 @@ func (st *Store) Clean(v *Var) {
 	v.SuccV.Compact(v)
 }
 
-// compactLive drops eliminated variables from st.vars once a quarter of
-// the list is dead, so whole-graph walks cost O(live), not O(ever
-// created). Compaction preserves creation order and is amortised O(1) per
-// elimination. Callers must not be mid-iteration over st.vars.
+// compactLive merges queued variables back into st.vars and drops
+// eliminated ones once a quarter of the list is dead, so whole-graph walks
+// cost O(live), not O(ever created). Compaction preserves creation order
+// and is amortised O(1) per elimination. Every whole-graph walk starts
+// here; callers must not be mid-iteration over st.vars.
 func (st *Store) compactLive() {
+	st.mergeQueued()
 	if st.dead == 0 || st.dead < len(st.vars)/4 {
 		return
 	}

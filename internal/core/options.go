@@ -226,8 +226,8 @@ type Options struct {
 	Repr StorageRepr
 	// Retractable enables constraint retraction: every batch added
 	// between BeginBatch/EndBatch is recorded (constraints, variable
-	// footprint, per-edge reason multisets) so RetractBatches can later
-	// remove it and rebuild only the entangled dirty cone. Off by
+	// footprint, edge-attempt keys) so RetractBatches can later remove
+	// it and rebuild only the entangled dirty cone. Off by
 	// default: tracking costs memory proportional to the added
 	// constraints and a branch per edge attempt, and a non-retractable
 	// system's behavior is bit-identical to previous releases.

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// This file implements constraint retraction with reason tracking. The
-// design (DESIGN.md §12) has three parts:
+// This file implements constraint retraction. The design (DESIGN.md §12)
+// has three parts:
 //
 //  1. Batch footprints. With Options.Retractable set, every top-level
 //     constraint is added inside a batch (BeginBatch/EndBatch; the façade
@@ -20,30 +22,38 @@ import (
 //     it: footprint-connected components of batches are edge-disjoint
 //     regions of the graph.
 //
-//  2. Reason multisets. Every edge attempt bumps a per-edge bag keyed by
-//     the batch id (ICDGraph-style multiset semantics): a fact asserted
-//     two ways holds two justifications and survives losing one. The bags
-//     drive the no-op fast path — retracting a batch that never mutated
-//     the graph (every attempt redundant, no collapse) only removes its
-//     justifications and leaves the graph, version, and least-solution
-//     cache untouched — and are the retract-side counterpart of the
-//     Stats.Redundant accounting.
+//  2. The footprint index. retractState.footprint maps every touched
+//     variable to the live batches whose footprints hold it, and persists
+//     across calls: a batch appends itself the first time it touches a
+//     variable, and retraction deletes the entries it rolls back. Each
+//     batch also keeps the keys of its edge attempts (keys) as its
+//     justification record, and counts its fresh insertions and collapses;
+//     the counters alone drive the no-op fast path — retracting a batch
+//     that never mutated the graph (every attempt redundant, no collapse)
+//     only unhooks it and leaves the graph, version and least-solution
+//     cache untouched.
 //
 //  3. Rollback + ordered replay. RetractBatches computes the entanglement
-//     fixpoint: the dirty region is the union of footprints of every batch
-//     reachable from the retracted ones through footprint intersection.
-//     Every dirty variable is reset wholesale to its freshly-created state
-//     (adjacency cleared, forwarding removed — this un-collapses every
-//     witness in the region and is the CSR story as well: the variable's
-//     arena segments are retired and rebuilt, no per-edge surgery), and
-//     the surviving dirty batches are replayed in their original order
-//     through the normal push/drain path. Clean components are untouched
-//     and replay is confined to the dirty region, so the result is
-//     bit-identical — partition signature and least solutions — to a
-//     from-scratch solve of the surviving constraints (the differential
-//     suite in retract_test.go is the gate). The least-solution cache is
-//     invalidated for exactly the dirty cone via the existing
-//     graphVersion/markLS machinery.
+//     fixpoint over the index: the dirty region is the union of footprints
+//     of every batch reachable from the retracted ones through footprint
+//     intersection. Every dirty variable is reset wholesale to its
+//     freshly-created state (adjacency cleared, forwarding removed — this
+//     un-collapses every witness in the region and is the CSR story as
+//     well: the variable's arena segments are retired and rebuilt, no
+//     per-edge surgery), and the surviving dirty batches are replayed in
+//     their original order through the normal push/drain path. Clean
+//     components are untouched and replay is confined to the dirty
+//     region, so the result is bit-identical — partition signature and
+//     least solutions — to a from-scratch solve of the surviving
+//     constraints (the differential suite in retract_test.go is the gate).
+//     The least-solution cache is invalidated for exactly the dirty cone
+//     via the existing graphVersion/markLS machinery.
+//
+// A retraction costs O(footprint of the dirty region): it walks no list of
+// every live batch or every variable, and the live-variable count in its
+// report is O(1). The least-solution read that usually follows it is still
+// a whole-graph pass (lsengine.go); only its recomputation is confined to
+// the cone.
 //
 // The replay argument needs every mutation to happen inside a tracked
 // batch: CyclePeriodic's interval-coupled global sweeps are rejected at
@@ -69,7 +79,7 @@ var ErrNotRetractable = errors.New("polce: solver not configured for retraction"
 // of TotalVars canonical variables at entry — the cone being much smaller
 // than the graph is the whole point), and how much surviving work was
 // replayed. NoOp reports the fast path: no retracted batch had ever
-// mutated the graph, so only justification bags changed. The same struct
+// mutated the graph, so only the batch records changed. The same struct
 // is delivered to MetricsSink.RetractDone.
 type RetractReport struct {
 	// Duration is the wall-clock time of the whole retraction, rollback
@@ -90,9 +100,10 @@ type RetractReport struct {
 	NoOp bool `json:"noop"`
 }
 
-// edgeKey identifies one atomic edge for the reason bags: a variable edge
-// x ⊆ y, a source edge t ⊆ x, or a sink edge x ⊆ t. Variables and terms
-// key by identity, matching the adjacency sets themselves.
+// edgeKey identifies one atomic edge attempt in a batch's justification
+// record: a variable edge x ⊆ y, a source edge t ⊆ x, or a sink edge
+// x ⊆ t. Variables and terms key by identity, matching the adjacency sets
+// themselves.
 type edgeKey struct {
 	kind uint8
 	x, y *Var
@@ -111,12 +122,12 @@ const (
 type retractCon struct{ l, r Expr }
 
 // batchRecord is the undo-log entry for one batch: its constraints in
-// application order, its variable footprint, the reason-bag keys it
-// bumped, and its mutation counters.
+// application order, its variable footprint, the keys of its edge
+// attempts, and its mutation counters.
 type batchRecord struct {
 	id      uint64
 	cons    []retractCon
-	touched map[*Var]struct{}
+	touched []*Var // footprint in first-touch order, each variable once
 	keys    []edgeKey
 
 	inserted  int // fresh edge insertions (including edges consumed by a collapse)
@@ -127,10 +138,10 @@ type batchRecord struct {
 // mutated reports whether the batch changed the graph at all.
 func (b *batchRecord) mutated() bool { return b.inserted > 0 || b.collapses > 0 }
 
-// resetForReplay clears the footprint and counters while keeping the
+// resetForReplay clears the footprint, keys and counters while keeping the
 // recorded constraints; the replay re-records them as it re-applies.
 func (b *batchRecord) resetForReplay() {
-	b.touched = make(map[*Var]struct{}, len(b.touched))
+	b.touched = b.touched[:0]
 	b.keys = b.keys[:0]
 	b.inserted, b.collapses, b.errs = 0, 0, 0
 }
@@ -139,14 +150,15 @@ func (b *batchRecord) resetForReplay() {
 // when Options.Retractable is set; a nil *retractState costs one branch
 // per hook site on the hot paths.
 type retractState struct {
-	nextID  uint64
+	nextID  uint64 // batch ids are issued in application order
 	active  *batchRecord
 	batches map[uint64]*batchRecord
-	order   []uint64 // live batch ids in application order
 
-	// reasons is the per-edge justification multiset: edge → batch id →
-	// number of attempts by that batch.
-	reasons map[edgeKey]map[uint64]int
+	// footprint indexes the live batches by variable: every live batch
+	// whose footprint holds the variable, in touch order. Only the open
+	// batch appends, so a batch that already touched a variable is its
+	// last entry.
+	footprint map[*Var][]*batchRecord
 
 	// errBatch runs parallel to System.errs: the batch id each retained
 	// error is attributed to (0 when recorded outside any batch).
@@ -160,40 +172,34 @@ type retractState struct {
 
 func newRetractState() *retractState {
 	return &retractState{
-		batches: make(map[uint64]*batchRecord),
-		reasons: make(map[edgeKey]map[uint64]int),
+		batches:   make(map[uint64]*batchRecord),
+		footprint: make(map[*Var][]*batchRecord),
 	}
 }
 
-// bump adds one justification for edge k by batch b.
-func (r *retractState) bump(b *batchRecord, k edgeKey) {
-	bag := r.reasons[k]
-	if bag == nil {
-		bag = make(map[uint64]int, 1)
-		r.reasons[k] = bag
+// touch adds v to the open batch b's footprint, once.
+func (r *retractState) touch(b *batchRecord, v *Var) {
+	bs := r.footprint[v]
+	if n := len(bs); n > 0 && bs[n-1] == b {
+		return
 	}
-	bag[b.id]++
-	b.keys = append(b.keys, k)
+	r.footprint[v] = append(bs, b)
+	b.touched = append(b.touched, v)
 }
 
-// dropReasons removes every justification b holds, deleting bags that
-// empty — the multiset semantics: a fact loses only this batch's votes.
-func (r *retractState) dropReasons(b *batchRecord) {
-	for _, k := range b.keys {
-		bag := r.reasons[k]
-		if bag == nil {
-			continue
+// unhook removes b from the footprint index.
+func (r *retractState) unhook(b *batchRecord) {
+	for _, v := range b.touched {
+		bs := r.footprint[v]
+		if i := slices.Index(bs, b); i >= 0 {
+			bs = slices.Delete(bs, i, i+1)
 		}
-		if bag[b.id] <= 1 {
-			delete(bag, b.id)
+		if len(bs) == 0 {
+			delete(r.footprint, v)
 		} else {
-			bag[b.id]--
-		}
-		if len(bag) == 0 {
-			delete(r.reasons, k)
+			r.footprint[v] = bs
 		}
 	}
-	b.keys = b.keys[:0]
 }
 
 // Retractable reports whether the system tracks batches for retraction.
@@ -220,9 +226,8 @@ func (s *System) BeginBatch() uint64 {
 		panic("core: BeginBatch inside an open batch")
 	}
 	r.nextID++
-	b := &batchRecord{id: r.nextID, touched: make(map[*Var]struct{})}
+	b := &batchRecord{id: r.nextID}
 	r.batches[b.id] = b
-	r.order = append(r.order, b.id)
 	r.active = b
 	return b.id
 }
@@ -238,35 +243,11 @@ func (s *System) EndBatch() {
 // s.retract so the non-retractable hot path pays one branch per site.
 
 func (s *System) retractSrc(t *Term, x *Var, fresh bool) {
-	r := s.retract
-	b := r.active
-	if b == nil {
-		if fresh {
-			r.tainted = true
-		}
-		return
-	}
-	b.touched[x] = struct{}{}
-	r.bump(b, edgeKey{kind: keySrcEdge, x: x, t: t})
-	if fresh {
-		b.inserted++
-	}
+	s.retract.attempt(edgeKey{kind: keySrcEdge, x: x, t: t}, fresh)
 }
 
 func (s *System) retractSink(x *Var, t *Term, fresh bool) {
-	r := s.retract
-	b := r.active
-	if b == nil {
-		if fresh {
-			r.tainted = true
-		}
-		return
-	}
-	b.touched[x] = struct{}{}
-	r.bump(b, edgeKey{kind: keySinkEdge, x: x, t: t})
-	if fresh {
-		b.inserted++
-	}
+	s.retract.attempt(edgeKey{kind: keySinkEdge, x: x, t: t}, fresh)
 }
 
 // retractVarEdge records an attempted variable edge x ⊆ y. A fresh attempt
@@ -274,7 +255,14 @@ func (s *System) retractSink(x *Var, t *Term, fresh bool) {
 // counts as a mutation: the collapse hook adds the merged variables, and
 // the inserted counter keeps the batch off the no-op fast path.
 func (s *System) retractVarEdge(x, y *Var, fresh bool) {
-	r := s.retract
+	s.retract.attempt(edgeKey{kind: keyVarEdge, x: x, y: y}, fresh)
+}
+
+// attempt records one edge attempt by the open batch: its variable
+// endpoints join the footprint, its key the justification record, and a
+// fresh attempt counts as a mutation. A fresh attempt with no batch open
+// taints the system.
+func (r *retractState) attempt(k edgeKey, fresh bool) {
 	b := r.active
 	if b == nil {
 		if fresh {
@@ -282,9 +270,11 @@ func (s *System) retractVarEdge(x, y *Var, fresh bool) {
 		}
 		return
 	}
-	b.touched[x] = struct{}{}
-	b.touched[y] = struct{}{}
-	r.bump(b, edgeKey{kind: keyVarEdge, x: x, y: y})
+	r.touch(b, k.x)
+	if k.y != nil {
+		r.touch(b, k.y)
+	}
+	b.keys = append(b.keys, k)
 	if fresh {
 		b.inserted++
 	}
@@ -297,9 +287,9 @@ func (s *System) retractCollapse(witness *Var, merged []*Var) {
 		r.tainted = true
 		return
 	}
-	b.touched[witness] = struct{}{}
+	r.touch(b, witness)
 	for _, v := range merged {
-		b.touched[v] = struct{}{}
+		r.touch(b, v)
 	}
 	b.collapses++
 }
@@ -374,7 +364,7 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	start := time.Now()
 	rep := RetractReport{
 		Batches:   len(targets),
-		TotalVars: len(s.CanonicalVars()),
+		TotalVars: s.store.NumLive(),
 	}
 
 	// Seed the entanglement fixpoint with the retracted batches that
@@ -387,13 +377,13 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	}
 
 	if len(queue) == 0 {
-		// Fast path: no retracted batch ever mutated the graph. Remove
-		// their justifications and errors; edges stay (their inserting
-		// batches survive), the version moves only if errors changed, and
-		// the least-solution cache stays hot.
+		// Fast path: no retracted batch ever mutated the graph. Unhook
+		// them and drop their errors; edges stay (their inserting batches
+		// survive), the version moves only if errors changed, and the
+		// least-solution cache stays hot.
 		anyErrs := false
 		for _, b := range targets {
-			r.dropReasons(b)
+			r.unhook(b)
 			if b.errs > 0 {
 				anyErrs = true
 			}
@@ -413,28 +403,26 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	// dirty variable; a variable is dirty when a dirty batch touched it.
 	// Because every insertion put both endpoints in its batch's footprint,
 	// the dirty variables form edge-closed components: no edge connects
-	// them to the clean remainder.
-	varIndex := make(map[*Var][]*batchRecord)
-	for _, id := range r.order {
-		b := r.batches[id]
-		for v := range b.touched {
-			varIndex[v] = append(varIndex[v], b)
-		}
-	}
+	// them to the clean remainder. Every batch indexed under a dirty
+	// variable is dirty, so the variable's index entry is deleted as it
+	// is reached — a touched variable without an entry is already dirty —
+	// and the replay below re-indexes the survivors.
 	dirtyBatches := make(map[uint64]*batchRecord, len(queue))
-	dirtyVars := make(map[*Var]struct{})
 	for _, b := range queue {
 		dirtyBatches[b.id] = b
 	}
+	var dirtyVars []*Var
 	for len(queue) > 0 {
 		b := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for v := range b.touched {
-			if _, ok := dirtyVars[v]; ok {
+		for _, v := range b.touched {
+			bs, ok := r.footprint[v]
+			if !ok {
 				continue
 			}
-			dirtyVars[v] = struct{}{}
-			for _, nb := range varIndex[v] {
+			delete(r.footprint, v)
+			dirtyVars = append(dirtyVars, v)
+			for _, nb := range bs {
 				if _, ok := dirtyBatches[nb.id]; !ok {
 					dirtyBatches[nb.id] = nb
 					queue = append(queue, nb)
@@ -442,49 +430,45 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 			}
 		}
 	}
-	// Fold in no-op targets so bookkeeping below removes them uniformly.
+	// Unhook the no-op targets the fixpoint did not reach and fold them in
+	// so the bookkeeping below removes them uniformly.
 	for id, b := range targets {
 		if _, ok := dirtyBatches[id]; !ok {
+			r.unhook(b)
 			dirtyBatches[id] = b
 		}
 	}
 
 	// Rollback: reset every dirty variable to its created state (this
-	// un-collapses every witness in the region and retires its arena
-	// segments), rebuild the live list, drop the dirty batches'
-	// justifications and errors, and invalidate the dirty cone's
-	// least-solution entries.
-	for v := range dirtyVars {
+	// un-collapses every witness in the region, retires its arena segments
+	// and re-lists it as live), drop the dirty batches' errors, and
+	// invalidate the dirty cone's least-solution entries.
+	for _, v := range dirtyVars {
 		s.store.ResetVar(v)
 	}
-	s.store.RebuildLive()
-	anyErrs := false
 	for _, b := range dirtyBatches {
-		r.dropReasons(b)
 		if b.errs > 0 {
-			anyErrs = true
+			s.dropErrors(dirtyBatches)
+			break
 		}
 	}
-	if anyErrs {
-		s.dropErrors(dirtyBatches)
-	}
-	for v := range dirtyVars {
+	for _, v := range dirtyVars {
 		s.markLS(v)
 	}
 
-	// Replay the surviving dirty batches in original application order.
-	// Clean batches' regions are untouched; dirty survivors rebuild their
-	// components exactly as a from-scratch solve of the survivors would.
-	newOrder := r.order[:0]
-	for _, id := range r.order {
-		b := r.batches[id]
-		if _, isTarget := targets[id]; isTarget {
-			continue
+	// Replay the surviving dirty batches in original application order,
+	// which is ascending id. Clean batches' regions are untouched; dirty
+	// survivors rebuild their components exactly as a from-scratch solve
+	// of the survivors would.
+	s.removeBatches(targets)
+	var replay []*batchRecord
+	for id, b := range dirtyBatches {
+		if _, isTarget := targets[id]; !isTarget {
+			replay = append(replay, b)
 		}
-		newOrder = append(newOrder, id)
-		if _, isDirty := dirtyBatches[id]; !isDirty {
-			continue
-		}
+	}
+	slices.SortFunc(replay, func(a, b *batchRecord) int { return cmp.Compare(a.id, b.id) })
+	for _, b := range replay {
 		b.resetForReplay()
 		r.active = b
 		for _, c := range b.cons {
@@ -495,8 +479,6 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 		rep.ReplayedBatches++
 		rep.ReplayedConstraints += len(b.cons)
 	}
-	r.order = newOrder
-	s.removeBatches(targets)
 
 	rep.DirtyVars = len(dirtyVars)
 	rep.Duration = time.Since(start)
@@ -504,21 +486,11 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	return rep, nil
 }
 
-// removeBatches deletes the retracted batches' records. Order filtering is
-// done by the caller when it rebuilds r.order; the fast path has no
-// rebuild, so it filters here.
+// removeBatches deletes the retracted batches' records.
 func (s *System) removeBatches(targets map[uint64]*batchRecord) {
-	r := s.retract
 	for id := range targets {
-		delete(r.batches, id)
+		delete(s.retract.batches, id)
 	}
-	order := r.order[:0]
-	for _, id := range r.order {
-		if _, ok := r.batches[id]; ok {
-			order = append(order, id)
-		}
-	}
-	r.order = order
 }
 
 // finishRetract updates the retraction counters and notifies the sink.

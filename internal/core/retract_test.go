@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -547,6 +548,154 @@ func TestRetractConeLocality(t *testing.T) {
 			if got := len(s.LeastSolution(vars[4][size-1])); got != 1 {
 				t.Errorf("untouched cluster lost its LS (got %d terms)", got)
 			}
+		})
+	}
+}
+
+// clusterSystem builds a retractable IF-Online system of disjoint
+// 12-variable clusters, one batch each: an atom flows into a chain whose
+// tail closes a cycle back into its middle. It returns the system, each
+// cluster's variables and atom, and the batch ids.
+func clusterSystem(opt Options, clusters int) (*System, [][]*Var, []*Term, []uint64) {
+	const size = 12
+	s := NewSystem(opt)
+	vars := make([][]*Var, clusters)
+	atoms := make([]*Term, clusters)
+	ids := make([]uint64, clusters)
+	for c := range vars {
+		for i := 0; i < size; i++ {
+			vars[c] = append(vars[c], s.Fresh(fmt.Sprintf("c%dv%d", c, i)))
+		}
+		atoms[c] = NewTerm(NewConstructor(fmt.Sprintf("a%d", c)))
+	}
+	for c := range vars {
+		ids[c] = addCluster(s, vars[c], atoms[c])
+	}
+	return s, vars, atoms, ids
+}
+
+// addCluster adds one cluster's constraints as a batch.
+func addCluster(s *System, vs []*Var, atom *Term) uint64 {
+	id := s.BeginBatch()
+	s.AddConstraint(atom, vs[0])
+	for i := 1; i < len(vs); i++ {
+		s.AddConstraint(vs[i-1], vs[i])
+	}
+	s.AddConstraint(vs[len(vs)-1], vs[len(vs)/2])
+	s.EndBatch()
+	return id
+}
+
+// TestRetractCostIndependentOfGraphSize pins retraction at O(dirty cone):
+// one retract and re-add of a 12-variable cluster makes as many
+// allocations, and allocates about as many bytes, at 64 clusters as at
+// 4096, so no step of it walks or copies every live batch or every
+// variable.
+func TestRetractCostIndependentOfGraphSize(t *testing.T) {
+	const runs = 50
+	perEdit := func(clusters int) (allocs, bytes float64) {
+		opt := Options{Form: IF, Cycles: CycleOnline, Seed: 11, Retractable: true}
+		s, vars, atoms, ids := clusterSystem(opt, clusters)
+		// Empty the least-solution pending list, keeping its capacity, so
+		// the edits' appends to it never regrow a graph-sized slice.
+		s.ComputeLeastSolutions()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := s.RetractBatches([]uint64{ids[0]}); err != nil {
+				t.Fatal(err)
+			}
+			ids[0] = addCluster(s, vars[0], atoms[0])
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, smallBytes := perEdit(64)
+	largeAllocs, largeBytes := perEdit(4096)
+	t.Logf("per edit: %.0f allocations, %.0f B at 64 clusters; %.0f, %.0f B at 4096", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if diff := largeAllocs - smallAllocs; diff > 4 || diff < -4 {
+		t.Errorf("allocations per edit: %.0f at 64 clusters, %.0f at 4096", smallAllocs, largeAllocs)
+	}
+	if largeBytes > 2*smallBytes {
+		t.Errorf("bytes per edit: %.0f at 64 clusters, %.0f at 4096", smallBytes, largeBytes)
+	}
+}
+
+// TestRetractRelistsCompactedVars covers a retraction whose collapsed
+// variables compaction already dropped from the live list: a quarter of
+// the list dies in collapses, a CanonicalVars walk compacts it, and the
+// retraction must re-list the variables it un-forwards — in creation
+// order, counted in TotalVars — and still match a from-scratch solve.
+func TestRetractRelistsCompactedVars(t *testing.T) {
+	const clusters, size = 8, 4
+	nVars := clusters * size
+	tspecs := []rtTermSpec{{con: 0}}
+	var batches [][]rtConSpec
+	for c := 0; c < clusters; c++ {
+		b := []rtConSpec{{kind: 1, a: c * size, s: 0}}
+		for i := 1; i < size; i++ {
+			b = append(b, rtConSpec{a: c*size + i - 1, b: c*size + i}, rtConSpec{a: c*size + i, b: c*size + i - 1})
+		}
+		batches = append(batches, b)
+	}
+	// liveCount counts the canonical variables without touching the live
+	// list.
+	liveCount := func(s *System) int {
+		n := 0
+		for i := 0; i < s.NumCreated(); i++ {
+			if !s.CreatedVar(i).Forwarded() {
+				n++
+			}
+		}
+		return n
+	}
+	for _, repr := range []StorageRepr{ReprHybrid, ReprCSR} {
+		t.Run(repr.String(), func(t *testing.T) {
+			opt := Options{Form: IF, Cycles: CycleOnline, Seed: 4, Repr: repr, Retractable: true}
+			live := newRTEnv(opt, nVars, tspecs)
+			ids := make([]uint64, clusters)
+			for c, b := range batches {
+				ids[c] = live.applyBatch(b)
+			}
+			if got := liveCount(live.sys); got != clusters {
+				t.Fatalf("%d canonical variables after the cycles collapsed, want %d", got, clusters)
+			}
+			live.sys.CanonicalVars() // compacts the collapsed variables away
+
+			if _, err := live.sys.RetractBatches([]uint64{ids[2]}); err != nil {
+				t.Fatal(err)
+			}
+			want := liveCount(live.sys)
+			if want != clusters+size-1 {
+				t.Fatalf("%d canonical variables after the retraction, want %d", want, clusters+size-1)
+			}
+			// The next retraction reads the live count while the
+			// un-forwarded variables are still queued.
+			rep, err := live.sys.RetractBatches([]uint64{ids[5]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TotalVars != want {
+				t.Fatalf("TotalVars = %d, want %d", rep.TotalVars, want)
+			}
+			live.sys.store.CompactArenas()
+			vs := live.sys.CanonicalVars()
+			if len(vs) != liveCount(live.sys) {
+				t.Fatalf("CanonicalVars lists %d variables, want %d", len(vs), liveCount(live.sys))
+			}
+			for i := 1; i < len(vs); i++ {
+				if vs[i-1].ID() >= vs[i].ID() {
+					t.Fatalf("CanonicalVars out of creation order at %d: %v", i, vs)
+				}
+			}
+			var surviving [][]rtConSpec
+			for c, b := range batches {
+				if c != 2 && c != 5 {
+					surviving = append(surviving, b)
+				}
+			}
+			checkAgainstReference(t, live, opt, nVars, tspecs, surviving, "after re-listing")
 		})
 	}
 }

@@ -13,16 +13,22 @@ import (
 )
 
 // ParseAppend parses additional statements into f and returns the
-// constraints they added, in order. The append is atomic: on a parse
-// error, every constructor declaration, variable first-use, query and
-// constraint introduced by src is rolled back and f is exactly as before
-// the call. Returned constraints are also recorded in f.Constraints.
+// constraints they add, in order. Declarations, variable first-uses and
+// queries are recorded in f; the constraints are not — f.Constraints keeps
+// only what Parse read — so a long-lived session holds its vocabulary, not
+// every request's syntax tree. The append is atomic: on a parse error,
+// every declaration, variable first-use and query introduced by src is
+// rolled back and f is exactly as before the call.
 func (f *File) ParseAppend(src string) ([]Constraint, error) {
 	nCons := len(f.consNames)
 	nVars := len(f.varNames)
-	nConstraints := len(f.Constraints)
 	nQueries := len(f.Queries)
-	if err := f.parseAll(src); err != nil {
+	kept := f.Constraints
+	f.Constraints = nil
+	err := f.parseAll(src)
+	cs := f.Constraints
+	f.Constraints = kept
+	if err != nil {
 		for _, name := range f.consNames[nCons:] {
 			delete(f.Cons, name)
 		}
@@ -31,11 +37,10 @@ func (f *File) ParseAppend(src string) ([]Constraint, error) {
 			delete(f.varSet, name)
 		}
 		f.varNames = f.varNames[:nVars]
-		f.Constraints = f.Constraints[:nConstraints]
 		f.Queries = f.Queries[:nQueries]
 		return nil, err
 	}
-	return f.Constraints[nConstraints:], nil
+	return cs, nil
 }
 
 // A Binder lowers surface expressions into solver expressions against one

@@ -7,9 +7,11 @@ import (
 	"polce"
 )
 
-// TestParseAppendGrowsOneProgram checks that a file parsed in increments
-// solves identically to the same program parsed at once, with constructor
-// and variable identities shared across increments.
+// TestParseAppendGrowsOneProgram checks that a file parsed in increments,
+// each increment lowered through one Binder, solves identically to the
+// same program parsed at once, with constructor and variable identities
+// shared across increments — and that the increments' constraints are
+// returned, not recorded in the file.
 func TestParseAppendGrowsOneProgram(t *testing.T) {
 	whole := MustParse("cons a; cons c(+)\na <= X; X <= Y\nc(Y) <= Z; query Z")
 
@@ -22,12 +24,20 @@ func TestParseAppendGrowsOneProgram(t *testing.T) {
 	if err != nil || len(cs2) != 1 {
 		t.Fatalf("ParseAppend 2 = %v, %v", cs2, err)
 	}
+	if len(inc.Constraints) != 0 {
+		t.Fatalf("ParseAppend recorded %d constraints in File.Constraints", len(inc.Constraints))
+	}
 
 	opt := polce.Options{Form: polce.IF, Cycles: polce.CycleOnline, Seed: 3}
 	a := whole.Solve(opt).QueryResults()
-	b := inc.Solve(opt).QueryResults()
-	if strings.Join(a, "\n") != strings.Join(b, "\n") {
-		t.Fatalf("incremental parse diverges:\n%v\n%v", a, b)
+	b := NewBinder(inc, polce.New(opt))
+	b.EnsureVars(inc.VarNames())
+	for _, c := range b.Lower(append(cs1, cs2...)) {
+		b.Sys.AddConstraint(c.L, c.R)
+	}
+	got := (&Solved{Sys: b.Sys, Vars: b.Vars, file: inc}).QueryResults()
+	if strings.Join(a, "\n") != strings.Join(got, "\n") {
+		t.Fatalf("incremental parse diverges:\n%v\n%v", a, got)
 	}
 }
 

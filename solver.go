@@ -156,8 +156,8 @@ func (s *Solver) AddBatchContext(ctx context.Context, batch []Constraint) (appli
 
 // RetractBatch removes the named batches' constraints as if they had never
 // been added, preserving every fact the surviving constraints still
-// justify (reason multisets: a derivation justified two ways survives
-// losing one). Unknown ids fail with ErrUnknownBatch and retract nothing;
+// justify (a derivation justified two ways survives losing one: the
+// surviving batches of the dirty cone are replayed). Unknown ids fail with ErrUnknownBatch and retract nothing;
 // a solver built without Options.Retractable fails with ErrNotRetractable.
 // The report describes the rolled-back dirty cone and the replayed
 // survivors; see RetractReport.
