@@ -1,6 +1,6 @@
 // Package andersen implements Andersen's points-to analysis for C (the
 // paper's case study, Section 3) on top of the inclusion-constraint solver
-// in internal/solver.
+// in the root polce package.
 //
 // Each abstract memory location l — a variable, a function, a heap object
 // per allocation site, or a string literal — is modelled by a constructed

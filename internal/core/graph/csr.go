@@ -7,11 +7,12 @@ package graph
 //
 // The arena changes *where* adjacency elements live, never what a set
 // contains or the order it iterates in: SmallSet still appends in
-// insertion order and still promotes to a membership map past the
-// threshold, so closure, cycle detection and every counter are
-// bit-identical to the hybrid (per-set Go slice) representation. That
-// invariance is what lets the engine select the representation purely by
-// Options and gate it with differential tests.
+// insertion order and still promotes to its position index past the
+// threshold (positions survive a repack, so the index does too), so
+// closure, cycle detection and every counter are bit-identical to the
+// hybrid (per-set Go slice) representation. That invariance is what lets
+// the engine select the representation purely by Options and gate it
+// with differential tests.
 //
 // Lifetime rules:
 //
@@ -31,7 +32,7 @@ type Repr int
 
 const (
 	// ReprHybrid is the classic layout: each adjacency set owns a plain
-	// Go slice (plus a membership map once it outgrows the threshold).
+	// Go slice (plus a position index once it outgrows the threshold).
 	ReprHybrid Repr = iota
 	// ReprCSR backs every adjacency set with chunked arena segments and
 	// periodically repacks them into CSR layout. Propagation results are

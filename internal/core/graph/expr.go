@@ -65,7 +65,7 @@ type Expr interface {
 type Term struct {
 	con  *Constructor
 	args []Expr
-	seq  uint32 // global creation sequence; hashed by the LS engine
+	seq  uint32 // global creation sequence; hashed by the LS engine and term sets
 }
 
 // NewTerm builds a constructed term. It panics if the number of arguments
@@ -113,6 +113,10 @@ func (t *Term) String() string {
 }
 
 func (t *Term) isExpr() {}
+
+// key is the term's adjacency-set hash key: its creation sequence, which
+// may wrap, so two terms can share a key.
+func (t *Term) key() uint32 { return t.seq }
 
 // Union is a set union usable on the left-hand side of a constraint:
 // (L₁ ∪ L₂) ⊆ R decomposes into L₁ ⊆ R and L₂ ⊆ R. (On a right-hand side

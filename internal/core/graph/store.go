@@ -4,7 +4,7 @@
 // sets. It makes no policy decisions — which endpoint stores an edge,
 // when cycles are searched for or collapsed, and how least solutions are
 // computed all live in the resolution/strategy layer (internal/core) and
-// the public façade (internal/solver) built on top of it.
+// the public façade (the root polce package) built on top of it.
 package graph
 
 import (

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"polce/internal/core/graph"
 )
 
 // This file is the least-solution engine for inductive form. The naive
@@ -56,8 +58,8 @@ type lsNode struct {
 	hash  uint64
 	terms []*Term
 
-	once  sync.Once      // builds index on first large membership probe
-	index map[*Term]int8 // nil until built; larger nodes only
+	once  sync.Once        // builds index on first large membership probe
+	index *graph.TermIndex // nil until built; larger nodes only
 }
 
 // has reports whether t is in the node's term set.
@@ -70,15 +72,8 @@ func (n *lsNode) has(t *Term) bool {
 		}
 		return false
 	}
-	n.once.Do(func() {
-		idx := make(map[*Term]int8, 2*len(n.terms))
-		for _, u := range n.terms {
-			idx[u] = 1
-		}
-		n.index = idx
-	})
-	_, ok := n.index[t]
-	return ok
+	n.once.Do(func() { n.index = graph.NewTermIndex(n.terms) })
+	return n.index.Has(t)
 }
 
 // lsPair keys the union memo by the identity of both operands. Operands

@@ -188,6 +188,20 @@ func TestLSParallelPass(t *testing.T) {
 		if got := s.Stats().LSPasses; got != 1 {
 			t.Fatalf("workers=%d: LSPasses = %d, want 1", workers, got)
 		}
+		// Large nodes build their term index under sync.Once on first
+		// probe; with 4 workers that happens inside the parallel levels,
+		// which is what keeps the race job covering the build.
+		indexed := 0
+		for _, bucket := range s.lsEngine.interned {
+			for _, n := range bucket {
+				if n.index != nil {
+					indexed++
+				}
+			}
+		}
+		if indexed == 0 {
+			t.Fatalf("workers=%d: no node built its term index", workers)
+		}
 		// Warm-cache incremental pass.
 		s.AddConstraint(atoms(1)[0], vars[0])
 		s.ComputeLeastSolutions()

@@ -26,8 +26,8 @@
 // internal/core/graph, owns the object model, the variable store, the
 // union-find forwarding structure and the adjacency sets; core owns the
 // resolution engine (System) and the pluggable Representation and
-// CycleStrategy policies that drive it; the public façade,
-// internal/solver, adds locking, batching and snapshot-isolated concurrent
+// CycleStrategy policies that drive it; the public façade, the root polce
+// package, adds locking, batching and snapshot-isolated concurrent
 // queries on top. Clients should normally use the façade.
 package core
 
@@ -35,7 +35,7 @@ import "polce/internal/core/graph"
 
 // The object model lives in the storage layer; core aliases it so the
 // resolution engine, the strategies and every existing client share one
-// vocabulary. The aliases are re-exported again by internal/solver.
+// vocabulary. The aliases are re-exported again by the polce façade.
 type (
 	// Variance describes how a constructor argument position behaves
 	// under inclusion.

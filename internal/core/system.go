@@ -52,7 +52,7 @@ const (
 // every update; with an online cycle policy, cyclic constraints are
 // detected and collapsed at every variable-variable edge insertion.
 //
-// A System is not safe for concurrent use; internal/solver adds locking.
+// A System is not safe for concurrent use; the polce façade adds locking.
 type System struct {
 	opt Options
 	rng *rand.Rand
