@@ -74,6 +74,7 @@ func ExperimentByName(name string) (Experiment, bool) {
 type Run struct {
 	Edges      int           // edges in the final graph
 	Work       int64         // total edge additions, including redundant
+	Redundant  int64         // edge additions that found the edge present
 	Time       time.Duration // solve time; includes the LS pass for IF
 	Eliminated int           // variables removed by cycle elimination
 	Searches   int64         // online chain searches
@@ -274,6 +275,7 @@ func runOne(p *program, exp Experiment, oracle *polce.Oracle, opt Options, repea
 		run := Run{
 			Edges:      r.Sys.TotalEdges(),
 			Work:       st.Work,
+			Redundant:  st.Redundant,
 			Time:       solveElapsed + lsElapsed,
 			Eliminated: st.VarsEliminated,
 			Searches:   st.CycleSearches,

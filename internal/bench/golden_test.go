@@ -23,6 +23,7 @@ type goldenCounters struct {
 
 	Edges          int     `json:"edges"`
 	Work           int64   `json:"work"`
+	Redundant      int64   `json:"redundant"`
 	Eliminated     int     `json:"eliminated"`
 	Searches       int64   `json:"searches"`
 	Visits         int64   `json:"visits"`
@@ -66,6 +67,7 @@ func TestCountersMatchGolden(t *testing.T) {
 			Seed:           r.Cell.Seed,
 			Edges:          r.Run.Edges,
 			Work:           r.Run.Work,
+			Redundant:      r.Run.Redundant,
 			Eliminated:     r.Run.Eliminated,
 			Searches:       r.Run.Searches,
 			Visits:         r.Run.Visits,

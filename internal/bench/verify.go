@@ -18,7 +18,7 @@ import (
 // divergence is reported and an error returned; this is the CI gate
 // behind the engine's "bit-identical at any worker count" contract. Both
 // runs use the given storage representation, so a `-repr csr` invocation
-// gates the delta-worklist path the same way.
+// gates the arena layout the same way.
 func VerifyLeastSolutions(w io.Writer, benches []Benchmark, seed int64, workers int, repr polce.StorageRepr) error {
 	if workers <= 1 {
 		return fmt.Errorf("bench: verify needs workers > 1 (got %d)", workers)

@@ -204,36 +204,24 @@ func (s *System) collapse(nodes []*Var) {
 	}
 }
 
-// absorb forwards a to w and re-inserts a's constraints onto w. Under
-// delta propagation the term-set re-insertions are pushed as range
-// entries over a's (now frozen) sets instead of being taken out: a is
-// forwarded, so every future Add canonicalises past it, making its term
-// sets immutable for exactly as long as the ranges are pending. The
-// storage is released when the drain ends (flushDelta).
+// absorb forwards a to w and re-inserts a's constraints onto w. The
+// term-set re-insertions are pushed as range entries over a's (now
+// frozen) sets instead of being taken out: a is forwarded, so every future
+// Add canonicalises past it, making its term sets immutable for exactly as
+// long as the ranges are pending. The storage is released when the drain
+// ends (flushDelta).
 func (s *System) absorb(a, w *Var) {
 	s.store.Forward(a, w)
 	s.stats.VarsEliminated++
-	if s.delta {
-		s.pushSrcRange(a, w, a.PredS.Size())
-	} else {
-		for _, t := range a.PredS.Take() {
-			s.push(t, w) // t ⊆ a becomes t ⊆ w
-		}
-	}
+	s.pushSrcRange(a, w, a.PredS.Size())
 	for _, v := range a.PredV.Take() {
 		s.push(v, w) // v ⊆ a becomes v ⊆ w
 	}
 	for _, v := range a.SuccV.Take() {
 		s.push(w, v) // a ⊆ v becomes w ⊆ v
 	}
-	if s.delta {
-		s.pushSinkRange(w, a, a.SuccK.Size())
-		s.deferredFree = append(s.deferredFree, a)
-	} else {
-		for _, k := range a.SuccK.Take() {
-			s.push(w, k) // a ⊆ k becomes w ⊆ k
-		}
-	}
+	s.pushSinkRange(w, a, a.SuccK.Size())
+	s.deferredFree = append(s.deferredFree, a)
 }
 
 // collapseSCCGroups runs Tarjan over the current variable-variable graph

@@ -1,0 +1,110 @@
+package core
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var updateDrainOrder = flag.Bool("update", false, "rewrite testdata/drain_order.json with the current run fingerprints")
+
+// runFingerprint hashes everything the drain order can move: the Stats
+// counters, the exact collapse partition, the edge counts, the graph
+// version and every least solution in first-reached order. Two runs with
+// equal fingerprints drained their worklists into the same graph through
+// the same collapse history.
+func runFingerprint(s *System, vars []*Var) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "stats %v\n", s.Stats())
+	fmt.Fprintf(h, "partition %v\n", reprPartitionSig(s))
+	a, b, c := s.EdgeCounts()
+	fmt.Fprintf(h, "edges %d %d %d\n", a, b, c)
+	fmt.Fprintf(h, "version %d\n", s.Version())
+	for i, v := range vars {
+		fmt.Fprintf(h, "ls %d %v\n", i, lsSeq(s, v))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// drainOrderRuns solves every case of the drain-order golden under the
+// given representation and returns each case's fingerprint by label: the
+// differential grid (seeds × diffConfigs), the oracle policy, and the
+// offline CollapseCycles pass.
+func drainOrderRuns(repr StorageRepr) map[string]string {
+	out := make(map[string]string)
+	for seed := int64(0); seed < 5; seed++ {
+		ops := genScript(seed, 50, 200)
+		for _, cfg := range diffConfigs() {
+			opt := Options{Form: cfg.form, Cycles: cfg.pol, Order: cfg.order, Seed: seed, Repr: repr}
+			s, vars := runScript(opt, ops)
+			out[fmt.Sprintf("seed=%d %v/%v/%v", seed, cfg.form, cfg.pol, cfg.order)] = runFingerprint(s, vars)
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		ops := genScript(seed, 40, 160)
+		ref, _ := runScript(Options{Form: IF, Cycles: CycleOnline, Seed: seed}, ops)
+		opt := Options{Form: IF, Cycles: CycleOracle, Oracle: BuildOracle(ref), Seed: seed, Repr: repr}
+		s, vars := runScript(opt, ops)
+		out[fmt.Sprintf("seed=%d oracle", seed)] = runFingerprint(s, vars)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		ops := genScript(seed, 50, 200)
+		for _, form := range []Form{SF, IF} {
+			s, vars := runScript(Options{Form: form, Cycles: CycleNone, Seed: seed, Repr: repr}, ops)
+			n := s.CollapseCycles()
+			out[fmt.Sprintf("seed=%d %v offline collapsed=%d", seed, form, n)] = runFingerprint(s, vars)
+		}
+	}
+	return out
+}
+
+// TestDrainOrderMatchesGolden pins the worklist drain order across
+// commits: every case's fingerprint, under both storage layouts, must
+// equal the one in testdata/drain_order.json. The counter golden in
+// internal/bench covers only SF and IF Online on the suite programs; this
+// golden is the cross-commit gate for the other cycle policies (periodic
+// sweeps and the increasing-order ablation are the most order-sensitive)
+// and for the offline collapse path.
+//
+// Regenerate with: go test ./internal/core -run TestDrainOrderMatchesGolden -update
+func TestDrainOrderMatchesGolden(t *testing.T) {
+	path := filepath.Join("testdata", "drain_order.json")
+	if *updateDrainOrder {
+		data, err := json.MarshalIndent(drainOrderRuns(ReprHybrid), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, repr := range []StorageRepr{ReprHybrid, ReprCSR} {
+		got := drainOrderRuns(repr)
+		if len(got) != len(want) {
+			t.Fatalf("%v: golden has %d runs, this run has %d", repr, len(want), len(got))
+		}
+		for label, fp := range got {
+			if w, ok := want[label]; !ok {
+				t.Errorf("%v: run %q missing from golden", repr, label)
+			} else if fp != w {
+				t.Errorf("%v: run %q fingerprint %s, golden %s", repr, label, fp, w)
+			}
+		}
+	}
+}

@@ -9,16 +9,16 @@ import (
 )
 
 // StorageRepr selects the adjacency storage representation: ReprHybrid is
-// the per-set slice/map layout, ReprCSR the arena-backed flat-memory
-// layout with delta (range) propagation. The two produce bit-identical
-// partition signatures, least solutions and Stats counters; they differ
-// only in memory layout and constant factors. See graph.Repr.
+// the per-set slice layout, ReprCSR the arena-backed flat-memory layout.
+// Both run the same drain loop and produce bit-identical partition
+// signatures, least solutions and Stats counters; they differ only in
+// memory layout and constant factors. See graph.Repr.
 type StorageRepr = graph.Repr
 
 const (
 	// ReprHybrid is the classic hybrid small-set layout (the default).
 	ReprHybrid = graph.ReprHybrid
-	// ReprCSR is the arena-backed CSR layout with delta propagation.
+	// ReprCSR is the arena-backed CSR layout.
 	ReprCSR = graph.ReprCSR
 )
 
@@ -221,8 +221,8 @@ type Options struct {
 	// pass.
 	LSWorkers int
 	// Repr selects the adjacency storage representation (default
-	// ReprHybrid). ReprCSR additionally switches the drain loop to delta
-	// (range) propagation; results are bit-identical at either setting.
+	// ReprHybrid). It changes where adjacency elements live, never the
+	// drain; results are bit-identical at either setting.
 	Repr StorageRepr
 	// Retractable enables constraint retraction: every batch added
 	// between BeginBatch/EndBatch is recorded (constraints, variable

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -411,6 +412,41 @@ func TestRetractReasonMultiset(t *testing.T) {
 	wantLS("after retracting last justification", 0)
 	if got := s.BatchCount(); got != 0 {
 		t.Errorf("BatchCount = %d, want 0", got)
+	}
+}
+
+// TestRetractRecordsRedundantBatchedAttempts pins that a redundant source
+// attempt consumed inside a range or fan run is recorded for its batch
+// exactly as any other attempt: its key joins the batch's justification
+// record and its variable the batch's footprint.
+func TestRetractRecordsRedundantBatchedAttempts(t *testing.T) {
+	s := NewSystem(Options{Form: SF, Cycles: CycleNone, Seed: 1, Retractable: true})
+	x, y, z := s.Fresh("x"), s.Fresh("y"), s.Fresh("z")
+	leaf := NewTerm(NewConstructor("leaf"))
+	add := func(l, r Expr) *batchRecord {
+		id := s.BeginBatch()
+		s.AddConstraint(l, r)
+		s.EndBatch()
+		return s.retract.batches[id]
+	}
+	add(leaf, x)
+	add(leaf, y)
+	add(z, x)
+	runs := map[string]*batchRecord{
+		"range": add(y, x),    // y's sources cross into x as a range
+		"fan":   add(leaf, z), // leaf fans out to z's successors
+	}
+	redundant := edgeKey{kind: keySrcEdge, x: x, t: leaf}
+	for name, b := range runs {
+		if !slices.Contains(b.keys, redundant) {
+			t.Errorf("%s run: redundant leaf ⊆ x missing from the batch's keys %v", name, b.keys)
+		}
+		if !slices.Contains(b.touched, x) {
+			t.Errorf("%s run: x missing from the batch's footprint %v", name, b.touched)
+		}
+	}
+	if st := s.Stats(); st.Redundant != 2 {
+		t.Errorf("Redundant = %d, want 2 (one per run)", st.Redundant)
 	}
 }
 

@@ -13,33 +13,35 @@ import (
 const worklistSampleInterval = 64
 
 // constraint is a pending inclusion awaiting resolution. A conSingle
-// entry is the inclusion l ⊆ r. Under delta propagation (ReprCSR) the
-// engine also pushes *range* entries, each standing for a batch of
-// inclusions over a prefix of a term set:
+// entry is the inclusion l ⊆ r. Source propagation pushes batch entries
+// instead, each standing for one inclusion per element of a window:
 //
 //	conSrcRange:  from.PredS.List()[i] ⊆ r   for i in [0, hi)
 //	conSinkRange: l ⊆ from.SuccK.List()[i]   for i in [0, hi)
+//	conSrcFan:    l ⊆ find(System.fan[i])    for i in the stack's last hi
 //
 // A range entry is sound because term sets are append-only (terms never
 // forward and TermSet never compacts), so the window [0, hi) keeps
 // denoting the same elements no matter how the set grows — only the
 // *backing storage* may move, and the elements are re-read from the set
-// at pop time. Draining a range pops one element per step, highest index
-// first, re-pushing the narrowed window below any work the element
-// generates — exactly the LIFO order the equivalent conSingle pushes
-// would produce, which is what keeps the CSR path bit-identical to the
-// hybrid path (same closure, same cycle collapses, same Stats).
+// at pop time. A fan entry copies its targets onto the fan stack instead,
+// because a variable set compacts in place; the topmost fan entry's
+// targets are always the stack's last hi elements. Draining a batch
+// consumes its highest element first and narrows the entry in place, so
+// the work an element generates drains before the rest of its window —
+// exactly the LIFO order one conSingle push per element would produce.
 type constraint struct {
 	l, r Expr
 	from *Var  // range entries: variable whose term set the window indexes
-	hi   int32 // window [0, hi) into from's term set
-	kind uint8 // conSingle, conSrcRange, conSinkRange
+	hi   int32 // elements left: window [0, hi), or the fan stack's last hi
+	kind uint8 // conSingle, conSrcRange, conSinkRange, conSrcFan
 }
 
 const (
 	conSingle uint8 = iota
 	conSrcRange
 	conSinkRange
+	conSrcFan
 )
 
 // System is an online inclusion-constraint solver: the resolution engine of
@@ -72,17 +74,17 @@ type System struct {
 	work  []constraint // LIFO worklist of pending constraints
 	stats Stats
 
-	// Delta-propagation state (ReprCSR; see the constraint type). Term-set
-	// crossings push one range entry instead of one entry per term, so a
-	// drain moves only the "new since last crossing" window across each
-	// edge. deferredFree holds collapsed variables whose term sets pending
+	// Batch-propagation state (see the constraint type). Term-set
+	// crossings push one range entry and a source's fan-out one fan entry
+	// instead of one entry per element. fan is the fan entries' target
+	// stack. deferredFree holds collapsed variables whose term sets pending
 	// ranges may still reference; their storage is released when the
 	// worklist empties.
-	delta        bool
+	fan          []*Var
 	deferredFree []*Var
 	deltaRanges  int64 // range entries pushed
 	deltaMaxSpan int   // widest range window pushed
-	workHWM      int   // worklist high-water mark (entries, ranges count once)
+	workHWM      int   // worklist high-water mark (entries; a batch counts once)
 
 	errs     []error
 	errCount int
@@ -121,7 +123,6 @@ func NewSystem(opt Options) *System {
 		opt:    opt,
 		rng:    rand.New(rand.NewSource(opt.Seed)),
 		maxErr: maxErr,
-		delta:  opt.Repr == ReprCSR,
 	}
 	if opt.Retractable {
 		if opt.Cycles == CyclePeriodic {
@@ -218,7 +219,7 @@ func (s *System) push(l, r Expr) {
 }
 
 // pushSrcRange batches the inclusions from.PredS.List()[0:n] ⊆ target as
-// one worklist entry (delta propagation; no-op window when n is zero).
+// one worklist entry (no-op window when n is zero).
 func (s *System) pushSrcRange(from *Var, target Expr, n int) {
 	if n == 0 {
 		return
@@ -239,6 +240,26 @@ func (s *System) pushSinkRange(l Expr, from *Var, n int) {
 	s.deltaRanges++
 	if n > s.deltaMaxSpan {
 		s.deltaMaxSpan = n
+	}
+}
+
+// pushSrcFan batches the inclusions t ⊆ y for every y in targets as one
+// worklist entry, copying targets onto the fan stack.
+func (s *System) pushSrcFan(t *Term, targets []*Var) {
+	if len(targets) == 0 {
+		return
+	}
+	s.fan = append(s.fan, targets...)
+	s.work = append(s.work, constraint{l: t, hi: int32(len(targets)), kind: conSrcFan})
+}
+
+// narrowTop shrinks the batch entry at the top of the worklist to its
+// first n elements, popping it when none remain.
+func (s *System) narrowTop(n int) {
+	if n == 0 {
+		s.work = s.work[:len(s.work)-1]
+	} else {
+		s.work[len(s.work)-1].hi = int32(n)
 	}
 }
 
@@ -268,44 +289,81 @@ func (s *System) drain(topLevel bool) {
 		c := s.work[len(s.work)-1]
 		switch c.kind {
 		case conSrcRange:
-			// Consume the highest-indexed element by narrowing the window
-			// in place at the top of the stack (popping it when this was
-			// the last element), so work the element generates drains
-			// before the rest of the window — the exact order the
-			// equivalent per-term pushes would drain in, at one worklist
-			// operation per element instead of a pop plus a re-push.
-			if c.hi > 1 {
-				s.work[len(s.work)-1].hi--
-			} else {
-				s.work = s.work[:len(s.work)-1]
+			if x, ok := c.r.(*Var); ok {
+				s.srcRun(c.from.PredS.List()[:c.hi], find(x))
+				continue
 			}
+			s.narrowTop(int(c.hi) - 1)
 			s.step(c.from.PredS.List()[c.hi-1], c.r)
 		case conSinkRange:
-			if c.hi > 1 {
-				s.work[len(s.work)-1].hi--
-			} else {
-				s.work = s.work[:len(s.work)-1]
-			}
+			s.narrowTop(int(c.hi) - 1)
 			s.step(c.l, c.from.SuccK.List()[c.hi-1])
+		case conSrcFan:
+			s.fanRun(c.l.(*Term), int(c.hi))
 		default:
 			s.work = s.work[:len(s.work)-1]
 			s.step(c.l, c.r)
 		}
 	}
-	if s.delta {
-		s.flushDelta()
-	}
+	s.flushDelta()
 	if report {
 		s.opt.Metrics.ClosureDone(time.Since(t0))
 	}
 }
 
+// runStop is the index a redundant run over the top n elements of a batch
+// stops at: all of them, except under a periodic policy, whose sweeps run
+// between worklist steps and read Work, so there each step consumes one.
+func (s *System) runStop(n int) int {
+	if s.cycSweep {
+		return n - 1
+	}
+	return 0
+}
+
+// srcRun drains the top entry, a source range terms ⊆ x, highest index
+// first. Terms x already holds are consumed in one tight loop, each
+// counted exactly as addSource counts a redundant attempt; the first new
+// term narrows the entry past itself and goes through addSource, so its
+// work drains before the rest of the window.
+func (s *System) srcRun(terms []*Term, x *Var) {
+	i := len(terms)
+	for stop := s.runStop(i); i > stop; {
+		i--
+		t := terms[i]
+		if !x.PredS.Has(t) {
+			s.narrowTop(i)
+			s.addSource(t, x)
+			return
+		}
+		s.redundantSource(t, x)
+	}
+	s.narrowTop(i)
+}
+
+// fanRun drains the top entry, a fan of t ⊆ each of its n targets on the
+// fan stack, the way srcRun drains a range.
+func (s *System) fanRun(t *Term, n int) {
+	for stop := s.runStop(n); n > stop; {
+		n--
+		y := find(s.fan[len(s.fan)-1])
+		s.fan = s.fan[:len(s.fan)-1]
+		if !y.PredS.Has(t) {
+			s.narrowTop(n)
+			s.addSource(t, y)
+			return
+		}
+		s.redundantSource(t, y)
+	}
+	s.narrowTop(n)
+}
+
 // flushDelta runs at the end of every drain, when no range entry is
 // pending: collapsed variables' storage (kept alive for in-flight ranges)
-// is released, and the arenas are repacked into CSR layout if enough
-// garbage has accumulated. This is the only point a compaction can run,
-// which is what makes it safe — no worklist entry, iterator or chain
-// search references arena storage here.
+// is released, and under ReprCSR the arenas are repacked into CSR layout
+// if enough garbage has accumulated. This is the only point a compaction
+// can run, which is what makes it safe — no worklist entry, iterator or
+// chain search references arena storage here.
 func (s *System) flushDelta() {
 	if len(s.deferredFree) > 0 {
 		for _, a := range s.deferredFree {
@@ -425,17 +483,24 @@ func (s *System) metricEdge(redundant bool) {
 	}
 }
 
+// redundantSource counts the attempted source edge t ⊆ x that found the
+// edge already present.
+func (s *System) redundantSource(t *Term, x *Var) {
+	s.stats.Work++
+	s.stats.Redundant++
+	s.metricEdge(true)
+	if s.retract != nil {
+		s.retractSrc(t, x, false)
+	}
+}
+
 // addSource inserts the source edge t ⊆ x and pairs t with x's successors.
 func (s *System) addSource(t *Term, x *Var) {
-	s.stats.Work++
 	if !x.PredS.Add(t) {
-		s.stats.Redundant++
-		s.metricEdge(true)
-		if s.retract != nil {
-			s.retractSrc(t, x, false)
-		}
+		s.redundantSource(t, x)
 		return
 	}
+	s.stats.Work++
 	if s.retract != nil {
 		s.retractSrc(t, x, true)
 	}
@@ -448,16 +513,8 @@ func (s *System) addSource(t *Term, x *Var) {
 		return
 	}
 	s.store.Clean(x)
-	for _, y := range x.SuccV.List() {
-		s.push(t, find(y))
-	}
-	if s.delta {
-		s.pushSinkRange(t, x, x.SuccK.Size())
-	} else {
-		for _, k := range x.SuccK.List() {
-			s.push(t, k)
-		}
-	}
+	s.pushSrcFan(t, x.SuccV.List())
+	s.pushSinkRange(t, x, x.SuccK.Size())
 }
 
 // addSink inserts the sink edge x ⊆ t and pairs x's predecessors with t.
@@ -482,13 +539,7 @@ func (s *System) addSink(x *Var, t *Term) {
 		return
 	}
 	s.store.Clean(x)
-	if s.delta {
-		s.pushSrcRange(x, t, x.PredS.Size())
-	} else {
-		for _, src := range x.PredS.List() {
-			s.push(src, t)
-		}
-	}
+	s.pushSrcRange(x, t, x.PredS.Size())
 	for _, v := range x.PredV.List() {
 		s.push(find(v), t)
 	}
@@ -533,13 +584,7 @@ func (s *System) addVarEdge(x, y *Var) {
 		if s.skipClosure {
 			return
 		}
-		if s.delta {
-			s.pushSrcRange(x, y, x.PredS.Size())
-		} else {
-			for _, src := range x.PredS.List() {
-				s.push(src, y)
-			}
-		}
+		s.pushSrcRange(x, y, x.PredS.Size())
 		for _, v := range x.PredV.List() {
 			s.push(find(v), y)
 		}
@@ -552,13 +597,7 @@ func (s *System) addVarEdge(x, y *Var) {
 		for _, w := range y.SuccV.List() {
 			s.push(x, find(w))
 		}
-		if s.delta {
-			s.pushSinkRange(x, y, y.SuccK.Size())
-		} else {
-			for _, k := range y.SuccK.List() {
-				s.push(x, k)
-			}
-		}
+		s.pushSinkRange(x, y, y.SuccK.Size())
 	}
 }
 
@@ -570,20 +609,20 @@ func (s *System) Stats() Stats {
 
 // StorageStats describes the storage backend and drain shape: which
 // representation is active, the arena's edge-block state (zero under
-// ReprHybrid), the worklist high-water mark, and how the delta worklist
-// batched term crossings. These are deliberately *not* part of Stats —
-// Stats is bit-identical across representations; this is where the
-// representations are allowed to differ.
+// ReprHybrid), the worklist high-water mark, and how the drain batched
+// term-set crossings into range entries. Both layouts run the same drain,
+// so only Repr and Arena differ between them. These are deliberately *not*
+// part of Stats, which pins the closure's behaviour, not its shape.
 type StorageStats struct {
 	// Repr is the active representation's flag spelling ("hybrid", "csr").
 	Repr string `json:"repr"`
 	// Arena is the flat-memory backend state; see graph.ArenaStats.
 	Arena graph.ArenaStats `json:"arena"`
 	// WorklistHWM is the worklist's high-water mark in entries (a range
-	// entry counts once however wide its window).
+	// or fan entry counts once however many elements it holds).
 	WorklistHWM int `json:"worklist_hwm"`
 	// DeltaRanges counts range entries pushed; DeltaMaxSpan is the widest
-	// window among them. Both zero under ReprHybrid.
+	// window among them. Fan entries are not ranges and count in neither.
 	DeltaRanges  int64 `json:"delta_ranges"`
 	DeltaMaxSpan int   `json:"delta_max_span"`
 }

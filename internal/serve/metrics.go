@@ -195,9 +195,9 @@ func newQueueMetrics(reg *telemetry.Registry, s *Server) *queueMetrics {
 		func() float64 { return float64(s.solver.StorageStats().Arena.Epoch) })
 	reg.GaugeFunc("polce_core_worklist_hwm", "high-water mark of the closure worklist",
 		func() float64 { return float64(s.solver.StorageStats().WorklistHWM) })
-	reg.GaugeFunc("polce_core_delta_ranges", "delta range entries pushed by the CSR drain loop",
+	reg.GaugeFunc("polce_core_delta_ranges", "term-set range entries pushed by the closure drain loop",
 		func() float64 { return float64(s.solver.StorageStats().DeltaRanges) })
-	reg.GaugeFunc("polce_core_delta_max_span", "widest delta range pushed by the CSR drain loop",
+	reg.GaugeFunc("polce_core_delta_max_span", "widest term-set range pushed by the closure drain loop",
 		func() float64 { return float64(s.solver.StorageStats().DeltaMaxSpan) })
 	if s.wal != nil {
 		reg.GaugeFunc("polce_serve_wal_frames", "frames in the constraint log, recovered plus appended",

@@ -159,7 +159,7 @@ func (sn *Snapshot) Graph() GraphStats { return sn.graph }
 func (sn *Snapshot) LSCache() LSCacheState { return sn.lsCache }
 
 // Storage returns the storage-backend state (representation name, arena
-// edge blocks, delta-worklist high-water marks) as of the snapshot.
+// edge blocks, drain-worklist shape) as of the snapshot.
 func (sn *Snapshot) Storage() StorageStats { return sn.storage }
 
 // CollapsedClasses returns the sizes of the equivalence classes that cycle

@@ -251,7 +251,7 @@ func (s *Solver) Stats() Stats {
 }
 
 // StorageStats reports the storage backend in use (hybrid or CSR), the
-// arena's edge-block state and the delta-worklist high-water marks. The
+// arena's edge-block state and the drain worklist's shape. The
 // counters are O(1) reads, so this is cheap enough for metric scrapes.
 func (s *Solver) StorageStats() StorageStats {
 	s.mu.Lock()
