@@ -6,9 +6,10 @@ package graph
 // variable's edge blocks contiguous, blocks laid out in creation order).
 //
 // The arena changes *where* adjacency elements live, never what a set
-// contains or the order it iterates in: SmallSet still appends in
-// insertion order and still promotes to its position index past the
-// threshold (positions survive a repack, so the index does too), so
+// contains or the order it iterates in: a set still appends in insertion
+// order and still promotes to its membership index past the threshold
+// (the index holds list positions or term ids, both of which survive a
+// repack), so
 // closure, cycle detection and every counter are bit-identical to the
 // hybrid (per-set Go slice) representation. That invariance is what lets
 // the engine select the representation purely by Options and gate it
@@ -111,9 +112,30 @@ func (a *arena[T]) grow(old []T) []T {
 }
 
 // retire returns a segment's capacity to the garbage pool (the set no
-// longer references it).
+// longer references it). A nil arena (ReprHybrid) ignores it.
 func (a *arena[T]) retire(capacity int) {
-	a.retired += int64(capacity)
+	if a != nil {
+		a.retired += int64(capacity)
+	}
+}
+
+// push appends v to a set's list, relocating a full segment when the
+// arena backs the list; a nil arena (ReprHybrid) leaves growth to append.
+// The element order is identical either way.
+func (a *arena[T]) push(list []T, v T) []T {
+	if a != nil && len(list) == cap(list) {
+		list = a.grow(list)
+	}
+	return append(list, v)
+}
+
+// repack copies a set's list into one fresh segment of a (post-reset)
+// arena, keeping every element at its position.
+func (a *arena[T]) repack(list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	return append(a.alloc(len(list)), list...)
 }
 
 // shouldCompact reports whether enough retired capacity has accumulated
@@ -162,7 +184,7 @@ func (st *Store) SetRepr(r Repr) {
 	st.repr = r
 	if r == ReprCSR && st.varArena == nil {
 		st.varArena = &arena[*Var]{}
-		st.termArena = &arena[*Term]{}
+		st.termArena = &arena[TermID]{}
 	}
 }
 

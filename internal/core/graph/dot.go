@@ -40,21 +40,19 @@ func (st *Store) WriteDOT(w io.Writer) error {
 	vars := st.CanonicalVars()
 	sort.Slice(vars, func(i, j int) bool { return vars[i].id < vars[j].id })
 
-	termID := map[*Term]string{}
-	nextTerm := 0
-	termNode := func(t *Term, sink bool) string {
-		if id, ok := termID[t]; ok {
-			return id
+	nodeOf := map[TermID]string{}
+	termNode := func(t TermID, sink bool) string {
+		if node, ok := nodeOf[t]; ok {
+			return node
 		}
-		id := fmt.Sprintf("t%d", nextTerm)
-		nextTerm++
-		termID[t] = id
+		node := fmt.Sprintf("t%d", len(nodeOf))
+		nodeOf[t] = node
 		shape := "box"
 		if sink {
 			shape = "box, style=dashed"
 		}
-		fmt.Fprintf(ew, "  %s [label=%q, shape=%s];\n", id, t.String(), shape)
-		return id
+		fmt.Fprintf(ew, "  %s [label=%q, shape=%s];\n", node, st.Term(t).String(), shape)
+		return node
 	}
 
 	for _, v := range vars {

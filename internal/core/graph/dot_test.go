@@ -18,10 +18,10 @@ func collapsedStore() *Store {
 	z := st.Fresh("Z", 3)
 	a := NewTerm(NewConstructor("a"))
 	end := NewTerm(NewConstructor("end"))
-	x.PredS.Add(a)
+	x.PredS.Add(st.Intern(a))
 	x.SuccV.Add(y)
 	y.PredV.Add(z)
-	y.SuccK.Add(end)
+	y.SuccK.Add(st.Intern(end))
 	st.Forward(z, x)
 	st.BumpMergeEpoch()
 	return &st

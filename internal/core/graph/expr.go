@@ -65,7 +65,7 @@ type Expr interface {
 type Term struct {
 	con  *Constructor
 	args []Expr
-	seq  uint32 // global creation sequence; hashed by the LS engine and term sets
+	seq  uint32 // global creation sequence; sorts the VE closure's report
 }
 
 // NewTerm builds a constructed term. It panics if the number of arguments
@@ -78,10 +78,10 @@ func NewTerm(c *Constructor, args ...Expr) *Term {
 	return &Term{con: c, args: args, seq: termSeq.Add(1)}
 }
 
-// termSeq numbers terms at creation. The sequence exists so a
-// least-solution engine can content-hash term lists without touching
-// pointer values; it is atomic because clients may build terms from
-// multiple goroutines even though each solver is single-threaded.
+// termSeq numbers terms at creation. The sequence gives terms a stable,
+// pointer-free sort key across stores; it is atomic because clients may
+// build terms from multiple goroutines even though each solver is
+// single-threaded.
 var termSeq atomic.Uint32
 
 // Con returns the term's constructor.
@@ -90,8 +90,8 @@ func (t *Term) Con() *Constructor { return t.con }
 // Arg returns the i-th argument expression.
 func (t *Term) Arg(i int) Expr { return t.args[i] }
 
-// Seq returns the term's global creation sequence number, a stable
-// content-hashing key for engines that index term lists.
+// Seq returns the term's global creation sequence number, a stable sort
+// key for reports that order terms independently of any store.
 func (t *Term) Seq() uint32 { return t.seq }
 
 // String renders the term as c(arg1,...,argn).
@@ -113,10 +113,6 @@ func (t *Term) String() string {
 }
 
 func (t *Term) isExpr() {}
-
-// key is the term's adjacency-set hash key: its creation sequence, which
-// may wrap, so two terms can share a key.
-func (t *Term) key() uint32 { return t.seq }
 
 // Union is a set union usable on the left-hand side of a constraint:
 // (L₁ ∪ L₂) ⊆ R decomposes into L₁ ⊆ R and L₂ ⊆ R. (On a right-hand side

@@ -1,56 +1,65 @@
 package graph
 
+import "slices"
+
 // Threshold is the size at which a hybrid adjacency set promotes from a
-// plain linear-scanned slice to slice + position index. Most variables in
-// real constraint graphs have only a handful of edges (the closed graphs
-// sit near density k ≈ 2, see the paper's Section 5), so staying below the
-// threshold avoids an index allocation per adjacency set — up to four per
-// variable.
+// plain linear-scanned slice to slice + membership index. Most variables
+// in real constraint graphs have only a handful of edges (the closed
+// graphs sit near density k ≈ 2, see the paper's Section 5), so staying
+// below the threshold avoids an index allocation per adjacency set — up to
+// four per variable.
 const smallSetThreshold = 8
 
-// setElem is an element of a SmallSet: a pointer compared by identity
-// that also carries a 32-bit hash key (a variable's creation index, a
-// term's creation sequence). Keys need not be unique; the index only uses
-// them to pick where a probe starts.
-type setElem interface {
-	comparable
-	key() uint32
-}
-
-// SmallSet is an insertion-ordered hybrid set. The slice preserves
+// Both kinds of adjacency set are insertion-ordered. The slice preserves
 // insertion order so that graph closure — and therefore cycle detection,
-// which is sensitive to the order in which edges appear — is deterministic
-// for a deterministic client. Membership is answered by scanning the slice
-// while the set is small; once it outgrows the threshold a position index
-// is built and kept in sync.
-type SmallSet[T setElem] struct {
-	list []T
-	idx  *posIndex // nil while len(list) <= smallSetThreshold
-	ar   *arena[T] // nil under ReprHybrid; owns list's storage otherwise
-}
-
-// posIndex is an open-addressed hash index into a set's list: each slot
-// holds a list position plus one, 0 marking an empty slot. The table size
-// is a power of two kept at load ≤ ½, probes are linear from a Fibonacci
-// hash of the element's key, and a probe compares the element stored at
-// the slot's list position, never the key, so colliding keys stay exact.
-// Slots hold no pointers, so the garbage collector never scans them, and
-// positions survive any move of the list's storage (CSR repack).
-type posIndex struct {
-	slots []int32
-	shift uint32 // 32 - log2(len(slots)): the hash keeps the top bits
-}
+// which is sensitive to the order in which edges appear — is
+// deterministic for a deterministic client. Membership is answered by
+// scanning the slice while the set is small; once it outgrows the
+// threshold an index is built and kept in sync.
 
 // fib32 is 2^32 divided by the golden ratio, the Fibonacci hashing
 // multiplier.
 const fib32 = 0x9E3779B9
 
+// tableSize returns the power-of-two size of an open-addressed table that
+// holds n entries at load ≤ ½, and the shift that keeps a 32-bit hash's
+// top bits as the home slot.
+func tableSize(n int) (size int, shift uint32) {
+	size, shift = 1, 32
+	for size < 2*n {
+		size *= 2
+		shift--
+	}
+	return size, shift
+}
+
+// VarSet is the variable adjacency set. After cycles are collapsed,
+// entries may become stale (their variable forwarded to a witness); stale
+// entries are canonicalised lazily by Compact.
+type VarSet struct {
+	list []*Var
+	idx  *posIndex    // nil while len(list) <= smallSetThreshold
+	ar   *arena[*Var] // nil under ReprHybrid; owns list's storage otherwise
+}
+
+// posIndex is an open-addressed hash index into a VarSet's list: each slot
+// holds a list position plus one, 0 marking an empty slot. Probes are
+// linear from a Fibonacci hash of the variable's creation index, and a
+// probe compares the variable stored at the slot's list position, so two
+// variables sharing an index stay distinct. Slots hold no pointers, so the
+// garbage collector never scans them, and positions survive any move of
+// the list's storage (CSR repack).
+type posIndex struct {
+	slots []int32
+	shift uint32
+}
+
 // lookup probes for v. It returns v's slot if present, otherwise the
 // empty slot where v's position belongs.
-func (s *SmallSet[T]) lookup(v T) (slot int, found bool) {
+func (s *VarSet) lookup(v *Var) (slot int, found bool) {
 	slots := s.idx.slots
 	mask := len(slots) - 1
-	i := int((v.key() * fib32) >> s.idx.shift)
+	i := int((uint32(v.id) * fib32) >> s.idx.shift)
 	for {
 		p := slots[i]
 		if p == 0 {
@@ -65,15 +74,11 @@ func (s *SmallSet[T]) lookup(v T) (slot int, found bool) {
 
 // reindex sizes the index for the list at load ≤ ½ and rebuilds it. The
 // list holds no duplicates.
-func (s *SmallSet[T]) reindex() {
-	size, shift := 1, uint32(32)
-	for size < 2*len(s.list) {
-		size *= 2
-		shift--
-	}
+func (s *VarSet) reindex() {
 	if s.idx == nil {
 		s.idx = &posIndex{}
 	}
+	size, shift := tableSize(len(s.list))
 	s.idx.slots, s.idx.shift = make([]int32, size), shift
 	for i, v := range s.list {
 		slot, _ := s.lookup(v)
@@ -82,113 +87,67 @@ func (s *SmallSet[T]) reindex() {
 }
 
 // Add inserts v and reports whether it was new.
-func (s *SmallSet[T]) Add(v T) bool {
+func (s *VarSet) Add(v *Var) bool {
 	if s.idx != nil {
 		slot, found := s.lookup(v)
 		if found {
 			return false
 		}
-		s.append(v)
+		s.list = s.ar.push(s.list, v)
 		s.idx.slots[slot] = int32(len(s.list))
 		if 2*len(s.list) > len(s.idx.slots) {
 			s.reindex()
 		}
 		return true
 	}
-	for _, w := range s.list {
-		if w == v {
-			return false
-		}
+	if slices.Contains(s.list, v) {
+		return false
 	}
-	s.append(v)
+	s.list = s.ar.push(s.list, v)
 	if len(s.list) > smallSetThreshold {
 		s.reindex()
 	}
 	return true
 }
 
-// append grows the backing storage through the arena when one is
-// attached; the element order and every observable set behavior are
-// identical either way.
-func (s *SmallSet[T]) append(v T) {
-	if s.ar != nil && len(s.list) == cap(s.list) {
-		s.list = s.ar.grow(s.list)
-	}
-	s.list = append(s.list, v)
-}
-
 // Has reports whether v is present (under the exact value; callers
 // canonicalise variables first).
-func (s *SmallSet[T]) Has(v T) bool {
+func (s *VarSet) Has(v *Var) bool {
 	if s.idx != nil {
 		_, found := s.lookup(v)
 		return found
 	}
-	for _, w := range s.list {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.list, v)
 }
 
 // Size returns the number of stored entries, including stale aliases.
-func (s *SmallSet[T]) Size() int { return len(s.list) }
+func (s *VarSet) Size() int { return len(s.list) }
 
 // List returns the stored entries in insertion order. The slice aliases
 // the set's own storage: callers must not mutate it, and must not hold it
 // across an Add or Compact.
-func (s *SmallSet[T]) List() []T { return s.list }
+func (s *VarSet) List() []*Var { return s.list }
 
 // Take removes and returns all entries, leaving the set empty. Used when a
 // collapsed variable's edges are re-inserted onto the witness.
-func (s *SmallSet[T]) Take() []T {
+func (s *VarSet) Take() []*Var {
 	l := s.list
 	s.release()
 	return l
 }
 
 // release drops the set's contents and retires its arena storage.
-func (s *SmallSet[T]) release() {
-	if s.ar != nil {
-		s.ar.retire(cap(s.list))
-	}
+func (s *VarSet) release() {
+	s.ar.retire(cap(s.list))
 	s.list = nil
 	s.idx = nil
 }
 
 // repack re-allocates the set's elements densely in a (post-reset) arena.
 // Positions are unchanged, so the index stays valid.
-func (s *SmallSet[T]) repack(a *arena[T]) {
+func (s *VarSet) repack(a *arena[*Var]) {
 	s.ar = a
-	if len(s.list) == 0 {
-		s.list = nil
-		return
-	}
-	seg := a.alloc(len(s.list))
-	s.list = append(seg, s.list...)
-}
-
-// TermIndex is a read-only membership index over an immutable term list,
-// for engines that probe large term sets built elsewhere.
-type TermIndex struct{ set TermSet }
-
-// NewTermIndex indexes terms, which must hold no duplicates and must not
-// change while the index is in use. The index aliases terms.
-func NewTermIndex(terms []*Term) *TermIndex {
-	x := &TermIndex{set: TermSet{list: terms}}
-	x.set.reindex()
-	return x
-}
-
-// Has reports whether t is one of the indexed terms.
-func (x *TermIndex) Has(t *Term) bool { return x.set.Has(t) }
-
-// VarSet is the variable adjacency set. After cycles are collapsed,
-// entries may become stale (their variable forwarded to a witness); stale
-// entries are canonicalised lazily by Compact.
-type VarSet struct {
-	SmallSet[*Var]
+	s.list = a.repack(s.list)
 }
 
 // Compact canonicalises every entry under Find, dropping duplicates and
@@ -212,7 +171,7 @@ func (s *VarSet) Compact(self *Var) []*Var {
 	if s.idx == nil {
 		for _, v := range s.list {
 			v = Find(v)
-			if v == self || sliceHas(out, v) {
+			if v == self || slices.Contains(out, v) {
 				continue
 			}
 			out = append(out, v)
@@ -242,15 +201,169 @@ func (s *VarSet) Compact(self *Var) []*Var {
 	return out
 }
 
-func sliceHas(xs []*Var, v *Var) bool {
-	for _, x := range xs {
-		if x == v {
+// TermSet is the source/sink adjacency set: the ids (see Store.Intern) of
+// the terms on one side of a variable. Terms never forward, so no
+// compaction is needed: a term set only grows until it is released.
+type TermSet struct {
+	list []TermID
+	idx  *TermIndex     // nil while len(list) <= smallSetThreshold
+	ar   *arena[TermID] // nil under ReprHybrid; owns list's storage otherwise
+}
+
+// TermIndex is a membership index over term ids: the index of a promoted
+// term set, and a read-only index (NewTermIndex) for engines that probe
+// large term lists built elsewhere. It works in one of two modes. In
+// bitset mode (words non-nil) bit id of words is set exactly when id is
+// in the set. In table mode slots is an open-addressed table sized at
+// load ≤ ½, each filled slot holding an id plus one (0 marks an empty
+// slot), probed linearly from a Fibonacci hash of the id. Ids are unique
+// within a store, so a table probe compares the slot itself and never
+// reads the list. Neither mode holds pointers.
+//
+// The bitset is used while it is no larger than the table would be:
+// maxID/64 + 1 words against half the table's int32 slots. Term ids are
+// dense per store, so most large sets fit; a set of a few high ids takes
+// the table. An Add past the bitset's end re-checks the rule, and a table
+// that outgrows its load rebuilds under it, so a set can switch either
+// way as it grows.
+type TermIndex struct {
+	words []uint64
+	slots []int32
+	shift uint32
+}
+
+// NewTermIndex indexes ids, which must be non-empty and hold no
+// duplicates. The index does not alias ids.
+func NewTermIndex(ids []TermID) *TermIndex {
+	x := &TermIndex{}
+	x.build(ids)
+	return x
+}
+
+// bitsFit reports whether a bitset reaching maxID is no larger than the
+// table for n entries.
+func bitsFit(maxID TermID, n int) bool {
+	size, _ := tableSize(n)
+	return int(maxID>>6)+1 <= size/2
+}
+
+// Has reports whether id is in the index.
+func (x *TermIndex) Has(id TermID) bool {
+	if x.words != nil {
+		w := int(id >> 6)
+		return w < len(x.words) && x.words[w]&(1<<(id&63)) != 0
+	}
+	_, found := x.lookup(id)
+	return found
+}
+
+// lookup probes the table for id. It returns id's slot if present,
+// otherwise the empty slot where id belongs.
+func (x *TermIndex) lookup(id TermID) (slot int, found bool) {
+	slots := x.slots
+	mask := len(slots) - 1
+	key := int32(id) + 1
+	i := int((uint32(id) * fib32) >> x.shift)
+	for {
+		switch slots[i] {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// build indexes ids, which hold no duplicates, in the mode the size rule
+// picks.
+func (x *TermIndex) build(ids []TermID) {
+	maxID := slices.Max(ids)
+	if bitsFit(maxID, len(ids)) {
+		x.words, x.slots = make([]uint64, maxID>>6+1), nil
+		for _, id := range ids {
+			x.words[id>>6] |= 1 << (id & 63)
+		}
+		return
+	}
+	size, shift := tableSize(len(ids))
+	x.words, x.slots, x.shift = nil, make([]int32, size), shift
+	for _, id := range ids {
+		slot, _ := x.lookup(id)
+		x.slots[slot] = int32(id) + 1
+	}
+}
+
+// Add inserts id and reports whether it was new.
+func (s *TermSet) Add(id TermID) bool {
+	x := s.idx
+	switch {
+	case x == nil:
+		if slices.Contains(s.list, id) {
+			return false
+		}
+	case x.words != nil:
+		w := int(id >> 6)
+		if w < len(x.words) {
+			if x.words[w]&(1<<(id&63)) != 0 {
+				return false
+			}
+		} else if bitsFit(id, len(s.list)+1) {
+			x.words = append(x.words, make([]uint64, w+1-len(x.words))...)
+		} else {
+			break // the bitset would outgrow the table: rebuild as a table
+		}
+		s.list = s.ar.push(s.list, id)
+		x.words[w] |= 1 << (id & 63)
+		return true
+	default:
+		slot, found := x.lookup(id)
+		if found {
+			return false
+		}
+		if 2*(len(s.list)+1) <= len(x.slots) {
+			s.list = s.ar.push(s.list, id)
+			x.slots[slot] = int32(id) + 1
 			return true
 		}
 	}
-	return false
+	// A small set, or an index that no longer fits: append and (re)build.
+	s.list = s.ar.push(s.list, id)
+	if len(s.list) > smallSetThreshold {
+		if s.idx == nil {
+			s.idx = &TermIndex{}
+		}
+		s.idx.build(s.list)
+	}
+	return true
 }
 
-// TermSet is the source/sink adjacency set. Terms never become stale, so
-// no compaction is needed.
-type TermSet = SmallSet[*Term]
+// Has reports whether id is present.
+func (s *TermSet) Has(id TermID) bool {
+	if s.idx != nil {
+		return s.idx.Has(id)
+	}
+	return slices.Contains(s.list, id)
+}
+
+// Size returns the number of stored entries.
+func (s *TermSet) Size() int { return len(s.list) }
+
+// List returns the stored ids in insertion order. The slice aliases the
+// set's own storage: callers must not mutate it, and must not hold it
+// across an Add.
+func (s *TermSet) List() []TermID { return s.list }
+
+// release drops the set's contents and retires its arena storage.
+func (s *TermSet) release() {
+	s.ar.retire(cap(s.list))
+	s.list = nil
+	s.idx = nil
+}
+
+// repack re-allocates the set's elements densely in a (post-reset) arena.
+// The index holds ids, not positions, so it stays valid.
+func (s *TermSet) repack(a *arena[TermID]) {
+	s.ar = a
+	s.list = a.repack(s.list)
+}

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -60,10 +62,10 @@ type indexShape struct {
 	maxSlots, demotions, promotions int
 }
 
-// checkSet compares the hybrid set's list with the reference's and, when
-// the set is promoted, checks the index: load ≤ ½, one filled slot per
-// entry, and every entry found at its own position.
-func checkSet[T setElem](s *SmallSet[T], ref []T, shape *indexShape) error {
+// checkSet compares the variable set's list with the reference's and,
+// when the set is promoted, checks the index: load ≤ ½, one filled slot
+// per entry, and every entry found at its own position.
+func checkSet(s *VarSet, ref []*Var, shape *indexShape) error {
 	if len(s.list) != len(ref) {
 		return fmt.Errorf("list length %d != %d", len(s.list), len(ref))
 	}
@@ -177,7 +179,7 @@ func TestHybridSetMatchesMapReference(t *testing.T) {
 					hy.repack(ar)
 				}
 			}
-			if err := checkSet(&hy.SmallSet, ref.list, &shape); err != nil {
+			if err := checkSet(&hy, ref.list, &shape); err != nil {
 				t.Logf("seed %d op %d: %v", seed16, op, err)
 				return false
 			}
@@ -192,101 +194,271 @@ func TestHybridSetMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestTermSetMatchesMapReference is the TermSet sibling: inserts, probes,
-// Take (a collapsed variable handing its terms to the witness) and CSR
-// repacks against the map-backed reference.
+// termShape tallies which index modes the term-set tests drove a set
+// through, the switches between them, and the largest table seen.
+type termShape struct {
+	bitset, table, toTable, toBitset, maxSlots int
+}
+
+// indexMode names a term set's membership structure.
+func indexMode(s *TermSet) string {
+	switch {
+	case s.idx == nil:
+		return "scan"
+	case s.idx.words != nil:
+		return "bitset"
+	}
+	return "table"
+}
+
+// checkTermSet compares the term set's list with the reference's and, when
+// the set is promoted, checks its index: the mode is the one the size rule
+// picks for the set's length and largest id, a bitset spans exactly the
+// words up to that id with one bit per entry, and a table sits at load
+// ≤ ½ with one filled slot per entry and every entry found.
+func checkTermSet(s *TermSet, ref []TermID, shape *termShape) error {
+	if !slices.Equal(s.list, ref) {
+		return fmt.Errorf("list %v, reference %v", s.list, ref)
+	}
+	if (s.idx != nil) != (len(s.list) > smallSetThreshold) {
+		return fmt.Errorf("index present = %v at size %d", s.idx != nil, len(s.list))
+	}
+	if s.idx == nil {
+		return nil
+	}
+	maxID := slices.Max(ref)
+	if bitset := s.idx.words != nil; bitset != bitsFit(maxID, len(ref)) {
+		return fmt.Errorf("bitset mode = %v for %d entries up to id %d", bitset, len(ref), maxID)
+	}
+	if s.idx.words != nil {
+		shape.bitset++
+		if len(s.idx.words) != int(maxID>>6)+1 {
+			return fmt.Errorf("%d bitset words for largest id %d", len(s.idx.words), maxID)
+		}
+		n := 0
+		for _, w := range s.idx.words {
+			n += bits.OnesCount64(w)
+		}
+		if n != len(ref) {
+			return fmt.Errorf("%d bits set for %d entries", n, len(ref))
+		}
+		for _, id := range ref {
+			if !s.idx.Has(id) {
+				return fmt.Errorf("entry %d missing from the bitset", id)
+			}
+		}
+		return nil
+	}
+	shape.table++
+	shape.maxSlots = max(shape.maxSlots, len(s.idx.slots))
+	if 2*len(s.list) > len(s.idx.slots) {
+		return fmt.Errorf("load %d/%d above one half", len(s.list), len(s.idx.slots))
+	}
+	filled := 0
+	for _, p := range s.idx.slots {
+		if p != 0 {
+			filled++
+		}
+	}
+	if filled != len(s.list) {
+		return fmt.Errorf("%d filled slots for %d entries", filled, len(s.list))
+	}
+	for _, id := range ref {
+		if slot, found := s.idx.lookup(id); !found || s.idx.slots[slot] != int32(id)+1 {
+			return fmt.Errorf("entry %d not in the table", id)
+		}
+	}
+	return nil
+}
+
+// termPools are the id distributions the term-set tests draw from:
+// dense ids (a store's first few hundred terms), which keep every
+// promoted set in bitset mode; sparse ids spread over 2^24, which keep it
+// in table mode; and mostly dense ids with a few high ones, whose first
+// Add switches a bitset to a table that switches back once the set has
+// grown enough for the bitset to fit again.
+var termPools = map[string]func(rng *rand.Rand) []TermID{
+	"dense": func(*rand.Rand) []TermID {
+		pool := make([]TermID, 320)
+		for i := range pool {
+			pool[i] = TermID(i)
+		}
+		return pool
+	},
+	"sparse": func(rng *rand.Rand) []TermID {
+		pool := make([]TermID, 320)
+		for i := range pool {
+			pool[i] = TermID(rng.Intn(1 << 24))
+		}
+		return pool
+	},
+	"switching": func(*rand.Rand) []TermID {
+		pool := make([]TermID, 320)
+		for i := range pool {
+			pool[i] = TermID(i)
+		}
+		for i := 0; i < len(pool); i += 40 {
+			pool[i] = TermID(4000 + 7*i)
+		}
+		return pool
+	},
+}
+
+// TestTermSetMatchesMapReference is the TermSet sibling: inserts, probes
+// (of ids inside, past the end of and far beyond any bitset), release (a
+// variable reset for retraction) and CSR repacks against the map-backed
+// reference, over dense, sparse and switching id pools. Besides answers
+// and insertion order it checks the index mode each pool must reach.
 func TestTermSetMatchesMapReference(t *testing.T) {
-	c := NewConstructor("c")
-	pool := make([]*Term, 320)
-	for i := range pool {
-		pool[i] = NewTerm(c)
-	}
-	var shape indexShape
-	property := func(seed16 uint16, csr bool) bool {
-		rng := rand.New(rand.NewSource(int64(seed16)))
-		var hy TermSet
-		var ref refSet[*Term]
-		var ar *arena[*Term]
-		if csr {
-			ar = &arena[*Term]{}
-			hy.ar = ar
-		}
-		for op := 0; op < 800; op++ {
-			v := pool[rng.Intn(len(pool))]
-			switch r := rng.Intn(40); {
-			case r < 24:
-				if hy.Add(v) != ref.add(v) {
-					t.Logf("seed %d op %d: add disagrees", seed16, op)
-					return false
+	for name, pool := range termPools {
+		t.Run(name, func(t *testing.T) {
+			var shape termShape
+			property := func(seed16 uint16, csr bool) bool {
+				rng := rand.New(rand.NewSource(int64(seed16)))
+				ids := pool(rng)
+				var hy TermSet
+				var ref refSet[TermID]
+				var ar *arena[TermID]
+				if csr {
+					ar = &arena[TermID]{}
+					hy.ar = ar
 				}
-			case r < 38:
-				if hy.Has(v) != ref.has(v) {
-					t.Logf("seed %d op %d: has disagrees", seed16, op)
-					return false
+				for op := 0; op < 800; op++ {
+					id := ids[rng.Intn(len(ids))]
+					before := indexMode(&hy)
+					switch r := rng.Intn(40); {
+					case r < 24:
+						if hy.Add(id) != ref.add(id) {
+							t.Logf("seed %d op %d: add(%d) disagrees", seed16, op, id)
+							return false
+						}
+					case r < 36:
+						if hy.Has(id) != ref.has(id) {
+							t.Logf("seed %d op %d: has(%d) disagrees", seed16, op, id)
+							return false
+						}
+					case r < 38:
+						far := id + 1<<30
+						if hy.Has(far) != ref.has(far) {
+							t.Logf("seed %d op %d: has(%d) disagrees", seed16, op, far)
+							return false
+						}
+					case r == 38:
+						hy.release()
+						ref = refSet[TermID]{}
+					default:
+						if ar != nil {
+							ar.reset()
+							hy.repack(ar)
+						}
+					}
+					if err := checkTermSet(&hy, ref.list, &shape); err != nil {
+						t.Logf("seed %d op %d: %v", seed16, op, err)
+						return false
+					}
+					switch after := indexMode(&hy); {
+					case before == "bitset" && after == "table":
+						shape.toTable++
+					case before == "table" && after == "bitset":
+						shape.toBitset++
+					}
 				}
-			case r == 38:
-				got := hy.Take()
-				if len(got) != len(ref.list) {
-					t.Logf("seed %d op %d: Take returned %d entries, want %d", seed16, op, len(got), len(ref.list))
-					return false
+				return true
+			}
+			if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
+				t.Error(err)
+			}
+			switch name {
+			case "dense":
+				if shape.bitset == 0 || shape.table != 0 {
+					t.Errorf("dense ids: %+v, want bitset mode only", shape)
 				}
-				ref = refSet[*Term]{}
+			case "sparse":
+				if shape.maxSlots < 256 || shape.bitset != 0 {
+					t.Errorf("sparse ids: %+v, want table mode only, grown past 256 slots", shape)
+				}
 			default:
-				if ar != nil {
-					ar.reset()
-					hy.repack(ar)
+				if shape.toTable == 0 || shape.toBitset == 0 {
+					t.Errorf("switching ids: %+v, want switches both ways", shape)
 				}
 			}
-			if err := checkSet(&hy, ref.list, &shape); err != nil {
-				t.Logf("seed %d op %d: %v", seed16, op, err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-	if shape.maxSlots < 256 {
-		t.Errorf("index never grew past %d slots", shape.maxSlots)
+		})
 	}
 }
 
+// FuzzTermSet decodes its input into TermSet Add and Has calls, two bytes
+// per call, and checks every answer, the insertion order and the index
+// mode against a map-and-slice reference. In the first byte, bit 0 picks
+// Add or Has and bit 1 picks a dense id (the second byte) or a sparse one
+// (the second byte shifted into the high bits of a 22-bit id, the first
+// byte's top six bits below it), so one input can hold sets in bitset
+// mode, in table mode, and switching between them.
+func FuzzTermSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s TermSet
+		var ref refSet[TermID]
+		var shape termShape
+		for i := 0; i+1 < len(data); i += 2 {
+			op, b := data[i], data[i+1]
+			id := TermID(b)
+			if op&2 != 0 {
+				id = TermID(b)<<14 | TermID(op>>2)
+			}
+			if op&1 == 0 {
+				if got, want := s.Add(id), ref.add(id); got != want {
+					t.Fatalf("call %d: Add(%d) = %v, reference %v", i/2, id, got, want)
+				}
+			} else if got, want := s.Has(id), ref.has(id); got != want {
+				t.Fatalf("call %d: Has(%d) = %v, reference %v", i/2, id, got, want)
+			}
+			if err := checkTermSet(&s, ref.list, &shape); err != nil {
+				t.Fatalf("call %d: %v", i/2, err)
+			}
+		}
+	})
+}
+
 // TestIndexExactUnderKeyCollisions fills sets whose elements all share one
-// hash key — terms with equal seq (Term.seq is a global uint32 that can
-// wrap) and variables with equal id — and demands exact answers: the index
-// must compare the stored element, never the key.
+// home slot and demands exact answers. The term half uses distinct ids
+// that a table-mode set hashes to one slot, so every probe walks the
+// collision chain. The variable half uses variables with equal creation
+// index: the position index must compare the stored element, never the
+// key.
 func TestIndexExactUnderKeyCollisions(t *testing.T) {
 	const n = 3 * smallSetThreshold
-	c := NewConstructor("k")
-	terms := make([]*Term, n)
+	size, shift := tableSize(n)
+	home := func(id TermID) uint32 { return (uint32(id) * fib32) >> shift }
+	ids := make([]TermID, 0, n)
+	for id := TermID(1 << 20); len(ids) < n; id++ {
+		if home(id) == 0 {
+			ids = append(ids, id)
+		}
+	}
 	vars := make([]*Var, n)
-	for i := range terms {
-		terms[i] = NewTerm(c)
-		terms[i].seq = 7
+	for i := range vars {
 		vars[i] = NewVar(fmt.Sprintf("v%d", i), 7, uint64(i))
 	}
 	var ts TermSet
 	var vs VarSet
 	for i := 0; i < n; i++ {
-		if !ts.Add(terms[i]) || !vs.Add(vars[i]) {
+		if !ts.Add(ids[i]) || !vs.Add(vars[i]) {
 			t.Fatalf("add %d: colliding element reported present", i)
 		}
-		if ts.Add(terms[i]) || vs.Add(vars[i]) {
+		if ts.Add(ids[i]) || vs.Add(vars[i]) {
 			t.Fatalf("re-add %d reported new", i)
 		}
-		for j := range terms {
-			if ts.Has(terms[j]) != (j <= i) || vs.Has(vars[j]) != (j <= i) {
+		for j := range ids {
+			if ts.Has(ids[j]) != (j <= i) || vs.Has(vars[j]) != (j <= i) {
 				t.Fatalf("after %d adds: Has(%d) wrong", i+1, j)
 			}
 		}
 	}
-	if ts.idx == nil || vs.idx == nil {
-		t.Fatal("sets never promoted to the index")
+	if ts.idx == nil || ts.idx.words != nil || len(ts.idx.slots) != size || vs.idx == nil {
+		t.Fatal("sets never promoted to a colliding table and position index")
 	}
-	idx := NewTermIndex(terms[:n/2])
-	for j, u := range terms {
-		if idx.Has(u) != (j < n/2) {
+	idx := NewTermIndex(ids[:n/2])
+	for j, id := range ids {
+		if idx.Has(id) != (j < n/2) {
 			t.Fatalf("TermIndex.Has(%d) wrong", j)
 		}
 	}

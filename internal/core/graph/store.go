@@ -14,8 +14,8 @@ import (
 
 // Store owns the variables of one constraint system: the live list walked
 // by whole-graph operations, the creation-index space shared with the
-// oracle, and the merge epoch that drives lazy adjacency canonicalisation
-// after collapses.
+// oracle, the term table, and the merge epoch that drives lazy adjacency
+// canonicalisation after collapses.
 //
 // A Store is not safe for concurrent use; the solver façade serialises
 // access.
@@ -25,6 +25,9 @@ type Store struct {
 	dead    int    // eliminated variables still present in vars or queued
 	created []*Var // creation-index → variable handed out (aliases included)
 
+	terms   []*Term          // term table: TermID → term
+	termIDs map[*Term]TermID // inverse of terms
+
 	mergeEpoch uint64 // bumped on every collapse; drives lazy compaction
 
 	// Flat-memory backend (see csr.go). Both arenas are nil under
@@ -32,7 +35,43 @@ type Store struct {
 	// a segment of one of them.
 	repr      Repr
 	varArena  *arena[*Var]
-	termArena *arena[*Term]
+	termArena *arena[TermID]
+}
+
+// TermID is a term's dense id in one store's term table. Term sets hold
+// ids rather than pointers, so the garbage collector never scans them and
+// a membership probe needs no pointer load. The same *Term gets an
+// independent id in each store that names it.
+type TermID int32
+
+// Intern returns t's id, assigning the next dense id the first time the
+// store sees t. Ids are never reused or dropped, retraction included.
+func (st *Store) Intern(t *Term) TermID {
+	if id, ok := st.termIDs[t]; ok {
+		return id
+	}
+	if st.termIDs == nil {
+		st.termIDs = make(map[*Term]TermID)
+	}
+	id := TermID(len(st.terms))
+	st.terms = append(st.terms, t)
+	st.termIDs[t] = id
+	return id
+}
+
+// Term returns the term interned under id.
+func (st *Store) Term(id TermID) *Term { return st.terms[id] }
+
+// Terms maps ids to their terms in a fresh slice (nil when ids is empty).
+func (st *Store) Terms(ids []TermID) []*Term {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]*Term, len(ids))
+	for i, id := range ids {
+		out[i] = st.terms[id]
+	}
+	return out
 }
 
 // Fresh allocates a variable with the next creation index and the given

@@ -68,9 +68,6 @@ func (v *Var) String() string { return v.name }
 
 func (v *Var) isExpr() {}
 
-// key is the variable's adjacency-set hash key: its creation index.
-func (v *Var) key() uint32 { return uint32(v.id) }
-
 // Find follows forwarding pointers to v's representative, compressing the
 // path as it goes.
 func Find(v *Var) *Var {

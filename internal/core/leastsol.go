@@ -24,13 +24,6 @@ import "sort"
 // below as leastSolutionsReference, the oracle the engine is
 // property-tested against.
 
-// ComputeLeastSolutions materialises the least solution for every
-// variable. It is a no-op under standard form, where the closed graph is
-// already the least solution, and a no-op under inductive form while the
-// cache is hot: the cache is keyed on a graph version bumped only by real
-// edge insertions and collapses, so redundant constraint re-additions do
-// not trigger a pass, and after real updates only the affected cone is
-// recomputed.
 // LSCacheState describes the least-solution cache for introspection
 // surfaces: whether a LeastSolution read right now would be answered
 // without a pass, and how much interned state the engine holds.
@@ -68,6 +61,13 @@ func (s *System) LSCacheState() LSCacheState {
 	return st
 }
 
+// ComputeLeastSolutions materialises the least solution for every
+// variable. It is a no-op under standard form, where the closed graph is
+// already the least solution, and a no-op under inductive form while the
+// cache is hot: the cache is keyed on a graph version bumped only by real
+// edge insertions and collapses, so redundant constraint re-additions do
+// not trigger a pass, and after real updates only the affected cone is
+// recomputed.
 func (s *System) ComputeLeastSolutions() {
 	if s.opt.Form == SF {
 		return
@@ -80,19 +80,24 @@ func (s *System) ComputeLeastSolutions() {
 
 // LeastSolution returns the source terms in the least solution of v, in
 // first-reached order. Under inductive form this triggers (or reuses) the
-// least-solution pass; under standard form it reads the closed graph
-// directly. The returned slice must not be modified.
+// least-solution pass and returns the solution node's term view, built on
+// the node's first read and shared by every variable and later read of
+// that node; under standard form it maps the closed graph's source ids to
+// a fresh slice. The returned slice must not be modified.
 func (s *System) LeastSolution(v *Var) []*Term {
 	v = find(v)
 	if s.opt.Form == SF {
-		return v.PredS.List()
+		return s.store.Terms(v.PredS.List())
 	}
 	s.ComputeLeastSolutions()
 	n := lsNodeOf(v)
 	if n == nil {
 		return nil
 	}
-	return n.terms
+	if n.view == nil {
+		n.view = s.store.Terms(n.terms)
+	}
+	return n.view
 }
 
 // leastSolutionsReference is the naive least-solution computation the
@@ -105,7 +110,7 @@ func (s *System) leastSolutionsReference() map[*Var][]*Term {
 	if s.opt.Form == SF {
 		out := make(map[*Var][]*Term)
 		for _, v := range s.CanonicalVars() {
-			out[v] = v.PredS.List()
+			out[v] = s.store.Terms(v.PredS.List())
 		}
 		return out
 	}
@@ -116,7 +121,7 @@ func (s *System) leastSolutionsReference() map[*Var][]*Term {
 		s.store.Clean(y)
 		set := make(map[*Term]struct{}, y.PredS.Size())
 		list := make([]*Term, 0, y.PredS.Size())
-		for _, t := range y.PredS.List() {
+		for _, t := range s.store.Terms(y.PredS.List()) {
 			if _, ok := set[t]; !ok {
 				set[t] = struct{}{}
 				list = append(list, t)

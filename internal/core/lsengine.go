@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +18,13 @@ import (
 // The engine replaces it with three cooperating pieces:
 //
 //  1. Shared interned term-sets. A least solution is an immutable lsNode
-//     holding a deduplicated term list in first-reached order. Nodes are
-//     hash-consed (equal content → same node) and combined by a memoized
-//     union, so LS(Y) = leaf(Y) ∪ ⋃ LS(X) reuses its inputs' storage:
-//     a variable whose solution equals a predecessor's shares the node
-//     outright, and a repeated (a, b) union is a map hit.
+//     holding a deduplicated list of term ids in first-reached order.
+//     Nodes are hash-consed (equal content → same node) and combined by a
+//     memoized union, so LS(Y) = leaf(Y) ∪ ⋃ LS(X) reuses its inputs'
+//     storage: a variable whose solution equals a predecessor's shares the
+//     node outright, and a repeated (a, b) union is a map hit. A node maps
+//     its ids to terms once, on its first read, so every reader of a
+//     shared node shares that view too.
 //
 //  2. Level-parallel evaluation. Predecessor edges strictly decrease in
 //     the order o(·), so the predecessor graph is a DAG and level(Y) =
@@ -53,17 +56,23 @@ const lsParallelThreshold = 32
 // lsNode is one interned, immutable least-solution term-set. terms is
 // deduplicated and in first-reached order (own sources first, then each
 // predecessor's contribution in stored edge order — the exact order the
-// naive pass produces). Nodes must never be mutated after interning.
+// naive pass produces). Nodes must never be mutated after interning,
+// except to fill view.
 type lsNode struct {
 	hash  uint64
-	terms []*Term
+	terms []graph.TermID
 
 	once  sync.Once        // builds index on first large membership probe
 	index *graph.TermIndex // nil until built; larger nodes only
+
+	// view is terms mapped through the store's term table, built by the
+	// first LeastSolution read of the node (under the caller's exclusive
+	// access to the System; the parallel pass never reads it).
+	view []*Term
 }
 
 // has reports whether t is in the node's term set.
-func (n *lsNode) has(t *Term) bool {
+func (n *lsNode) has(t graph.TermID) bool {
 	if len(n.terms) <= lsIndexThreshold {
 		for _, u := range n.terms {
 			if u == t {
@@ -105,16 +114,16 @@ func newLSEngine() *lsEngine {
 	return e
 }
 
-// hashTerms is FNV-1a over the terms' creation sequence numbers. Equal
-// sequences hash equal; collisions are resolved by sameTerms in intern.
-func hashTerms(ts []*Term) uint64 {
+// hashTerms is FNV-1a over the term ids. Equal sequences hash equal;
+// collisions are resolved by comparing the lists in intern.
+func hashTerms(ts []graph.TermID) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
 	for _, t := range ts {
-		x := t.Seq()
+		x := uint32(t)
 		for i := 0; i < 4; i++ {
 			h ^= uint64(x & 0xff)
 			h *= prime64
@@ -124,37 +133,25 @@ func hashTerms(ts []*Term) uint64 {
 	return h
 }
 
-func sameTerms(a, b []*Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // intern returns the canonical node for terms, creating one if the exact
 // sequence has not been seen. When copyOnCreate is set the slice is
 // cloned before a node is built around it — callers pass it for lists
 // that alias mutable storage (predS.list grows in place between passes);
 // lookups never need the copy, which keeps warm passes allocation-free.
-func (e *lsEngine) intern(terms []*Term, copyOnCreate bool) *lsNode {
+func (e *lsEngine) intern(terms []graph.TermID, copyOnCreate bool) *lsNode {
 	if len(terms) == 0 {
 		return e.empty
 	}
 	h := hashTerms(terms)
 	e.mu.Lock()
 	for _, n := range e.interned[h] {
-		if sameTerms(n.terms, terms) {
+		if slices.Equal(n.terms, terms) {
 			e.mu.Unlock()
 			return n
 		}
 	}
 	if copyOnCreate {
-		terms = append([]*Term(nil), terms...)
+		terms = slices.Clone(terms)
 	}
 	n := &lsNode{hash: h, terms: terms}
 	e.interned[h] = append(e.interned[h], n)
@@ -164,7 +161,7 @@ func (e *lsEngine) intern(terms []*Term, copyOnCreate bool) *lsNode {
 }
 
 // leaf interns a variable's own source predecessors.
-func (e *lsEngine) leaf(terms []*Term) *lsNode {
+func (e *lsEngine) leaf(terms []graph.TermID) *lsNode {
 	return e.intern(terms, true)
 }
 
@@ -187,11 +184,11 @@ func (e *lsEngine) union(a, b *lsNode) *lsNode {
 		return r
 	}
 	e.misses.Add(1)
-	var out []*Term
+	var out []graph.TermID
 	for _, t := range b.terms {
 		if !a.has(t) {
 			if out == nil {
-				out = make([]*Term, len(a.terms), len(a.terms)+len(b.terms))
+				out = make([]graph.TermID, len(a.terms), len(a.terms)+len(b.terms))
 				copy(out, a.terms)
 			}
 			out = append(out, t)

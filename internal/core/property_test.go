@@ -233,7 +233,7 @@ func TestHybridSetEdgeCountsAcrossConfigs(t *testing.T) {
 				if seenSrc[v] == nil {
 					seenSrc[v] = map[*Term]bool{}
 				}
-				for _, tm := range v.PredS.List() {
+				for _, tm := range s1.store.Terms(v.PredS.List()) {
 					if seenSrc[v][tm] {
 						t.Fatalf("seed %d: duplicate source edge", seed)
 					}
@@ -242,7 +242,7 @@ func TestHybridSetEdgeCountsAcrossConfigs(t *testing.T) {
 				if seenSnk[v] == nil {
 					seenSnk[v] = map[*Term]bool{}
 				}
-				for _, tm := range v.SuccK.List() {
+				for _, tm := range s1.store.Terms(v.SuccK.List()) {
 					if seenSnk[v][tm] {
 						t.Fatalf("seed %d: duplicate sink edge", seed)
 					}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"polce/internal/core/graph"
 )
 
 // This file implements constraint retraction. The design (DESIGN.md §12)
@@ -60,9 +62,9 @@ import (
 // construction, and an offline CollapseCycles on a retractable system
 // taints it (subsequent retraction fails with ErrNotRetractable rather
 // than returning wrong answers). Variable creation is never undone — the
-// vocabulary (creation indices, random orders, interned terms) is
-// monotone, which is what lets a replayed batch reuse its original
-// expression pointers.
+// vocabulary (creation indices, random orders, term ids) is monotone,
+// which is what lets a replayed batch reuse its original expression
+// pointers and re-intern each term to the id it had.
 
 // ErrUnknownBatch is returned by RetractBatches when an id does not name a
 // live (previously added, not yet retracted) batch.
@@ -102,12 +104,12 @@ type RetractReport struct {
 
 // edgeKey identifies one atomic edge attempt in a batch's justification
 // record: a variable edge x ⊆ y, a source edge t ⊆ x, or a sink edge
-// x ⊆ t. Variables and terms key by identity, matching the adjacency sets
-// themselves.
+// x ⊆ t. Variables key by identity and terms by id, matching the
+// adjacency sets themselves.
 type edgeKey struct {
 	kind uint8
+	t    graph.TermID
 	x, y *Var
-	t    *Term
 }
 
 const (
@@ -242,11 +244,11 @@ func (s *System) EndBatch() {
 // Hook helpers, called from the resolution engine behind a nil check on
 // s.retract so the non-retractable hot path pays one branch per site.
 
-func (s *System) retractSrc(t *Term, x *Var, fresh bool) {
+func (s *System) retractSrc(t graph.TermID, x *Var, fresh bool) {
 	s.retract.attempt(edgeKey{kind: keySrcEdge, x: x, t: t}, fresh)
 }
 
-func (s *System) retractSink(x *Var, t *Term, fresh bool) {
+func (s *System) retractSink(x *Var, t graph.TermID, fresh bool) {
 	s.retract.attempt(edgeKey{kind: keySinkEdge, x: x, t: t}, fresh)
 }
 

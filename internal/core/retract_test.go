@@ -436,7 +436,7 @@ func TestRetractRecordsRedundantBatchedAttempts(t *testing.T) {
 		"range": add(y, x),    // y's sources cross into x as a range
 		"fan":   add(leaf, z), // leaf fans out to z's successors
 	}
-	redundant := edgeKey{kind: keySrcEdge, x: x, t: leaf}
+	redundant := edgeKey{kind: keySrcEdge, x: x, t: s.store.Intern(leaf)}
 	for name, b := range runs {
 		if !slices.Contains(b.keys, redundant) {
 			t.Errorf("%s run: redundant leaf ⊆ x missing from the batch's keys %v", name, b.keys)

@@ -14,11 +14,13 @@ const worklistSampleInterval = 64
 
 // constraint is a pending inclusion awaiting resolution. A conSingle
 // entry is the inclusion l ⊆ r. Source propagation pushes batch entries
-// instead, each standing for one inclusion per element of a window:
+// instead, each standing for one inclusion per element of a window (term
+// sets hold ids; a term is looked up in the store's table only where the
+// inclusion needs the *Term itself):
 //
 //	conSrcRange:  from.PredS.List()[i] ⊆ r   for i in [0, hi)
 //	conSinkRange: l ⊆ from.SuccK.List()[i]   for i in [0, hi)
-//	conSrcFan:    l ⊆ find(System.fan[i])    for i in the stack's last hi
+//	conSrcFan:    t ⊆ find(System.fan[i])    for i in the stack's last hi
 //
 // A range entry is sound because term sets are append-only (terms never
 // forward and TermSet never compacts), so the window [0, hi) keeps
@@ -32,9 +34,10 @@ const worklistSampleInterval = 64
 // exactly the LIFO order one conSingle push per element would produce.
 type constraint struct {
 	l, r Expr
-	from *Var  // range entries: variable whose term set the window indexes
-	hi   int32 // elements left: window [0, hi), or the fan stack's last hi
-	kind uint8 // conSingle, conSrcRange, conSinkRange, conSrcFan
+	from *Var         // range entries: variable whose term set the window indexes
+	hi   int32        // elements left: window [0, hi), or the fan stack's last hi
+	t    graph.TermID // fan entries: the source term
+	kind uint8        // conSingle, conSrcRange, conSinkRange, conSrcFan
 }
 
 const (
@@ -245,12 +248,12 @@ func (s *System) pushSinkRange(l Expr, from *Var, n int) {
 
 // pushSrcFan batches the inclusions t ⊆ y for every y in targets as one
 // worklist entry, copying targets onto the fan stack.
-func (s *System) pushSrcFan(t *Term, targets []*Var) {
+func (s *System) pushSrcFan(t graph.TermID, targets []*Var) {
 	if len(targets) == 0 {
 		return
 	}
 	s.fan = append(s.fan, targets...)
-	s.work = append(s.work, constraint{l: t, hi: int32(len(targets)), kind: conSrcFan})
+	s.work = append(s.work, constraint{t: t, hi: int32(len(targets)), kind: conSrcFan})
 }
 
 // narrowTop shrinks the batch entry at the top of the worklist to its
@@ -294,12 +297,17 @@ func (s *System) drain(topLevel bool) {
 				continue
 			}
 			s.narrowTop(int(c.hi) - 1)
-			s.step(c.from.PredS.List()[c.hi-1], c.r)
+			s.step(s.store.Term(c.from.PredS.List()[c.hi-1]), c.r)
 		case conSinkRange:
 			s.narrowTop(int(c.hi) - 1)
-			s.step(c.l, c.from.SuccK.List()[c.hi-1])
+			t := c.from.SuccK.List()[c.hi-1]
+			if x, ok := c.l.(*Var); ok {
+				s.addSink(find(x), t)
+				continue
+			}
+			s.step(c.l, s.store.Term(t))
 		case conSrcFan:
-			s.fanRun(c.l.(*Term), int(c.hi))
+			s.fanRun(c.t, int(c.hi))
 		default:
 			s.work = s.work[:len(s.work)-1]
 			s.step(c.l, c.r)
@@ -326,7 +334,7 @@ func (s *System) runStop(n int) int {
 // counted exactly as addSource counts a redundant attempt; the first new
 // term narrows the entry past itself and goes through addSource, so its
 // work drains before the rest of the window.
-func (s *System) srcRun(terms []*Term, x *Var) {
+func (s *System) srcRun(terms []graph.TermID, x *Var) {
 	i := len(terms)
 	for stop := s.runStop(i); i > stop; {
 		i--
@@ -343,7 +351,7 @@ func (s *System) srcRun(terms []*Term, x *Var) {
 
 // fanRun drains the top entry, a fan of t ⊆ each of its n targets on the
 // fan stack, the way srcRun drains a range.
-func (s *System) fanRun(t *Term, n int) {
+func (s *System) fanRun(t graph.TermID, n int) {
 	for stop := s.runStop(n); n > stop; {
 		n--
 		y := find(s.fan[len(s.fan)-1])
@@ -408,14 +416,14 @@ func (s *System) step(l, r Expr) {
 		case *Var:
 			s.addVarEdge(lv, find(rv))
 		case *Term:
-			s.addSink(lv, rv)
+			s.addSink(lv, s.store.Intern(rv))
 		default:
 			panic(fmt.Sprintf("core: unknown rhs expression %T", r))
 		}
 	case *Term:
 		switch rv := r.(type) {
 		case *Var:
-			s.addSource(lv, find(rv))
+			s.addSource(s.store.Intern(lv), find(rv))
 		case *Term:
 			s.decompose(lv, rv)
 		default:
@@ -485,7 +493,7 @@ func (s *System) metricEdge(redundant bool) {
 
 // redundantSource counts the attempted source edge t ⊆ x that found the
 // edge already present.
-func (s *System) redundantSource(t *Term, x *Var) {
+func (s *System) redundantSource(t graph.TermID, x *Var) {
 	s.stats.Work++
 	s.stats.Redundant++
 	s.metricEdge(true)
@@ -495,7 +503,7 @@ func (s *System) redundantSource(t *Term, x *Var) {
 }
 
 // addSource inserts the source edge t ⊆ x and pairs t with x's successors.
-func (s *System) addSource(t *Term, x *Var) {
+func (s *System) addSource(t graph.TermID, x *Var) {
 	if !x.PredS.Add(t) {
 		s.redundantSource(t, x)
 		return
@@ -507,18 +515,18 @@ func (s *System) addSource(t *Term, x *Var) {
 	s.markLS(x)
 	s.metricEdge(false)
 	if s.opt.Observer != nil {
-		s.emit(Event{Kind: EventSourceEdge, From: t, To: x})
+		s.emit(Event{Kind: EventSourceEdge, From: s.store.Term(t), To: x})
 	}
 	if s.skipClosure {
 		return
 	}
 	s.store.Clean(x)
 	s.pushSrcFan(t, x.SuccV.List())
-	s.pushSinkRange(t, x, x.SuccK.Size())
+	s.pushSinkRange(s.store.Term(t), x, x.SuccK.Size())
 }
 
 // addSink inserts the sink edge x ⊆ t and pairs x's predecessors with t.
-func (s *System) addSink(x *Var, t *Term) {
+func (s *System) addSink(x *Var, t graph.TermID) {
 	s.stats.Work++
 	if !x.SuccK.Add(t) {
 		s.stats.Redundant++
@@ -533,15 +541,16 @@ func (s *System) addSink(x *Var, t *Term) {
 	}
 	s.metricEdge(false)
 	if s.opt.Observer != nil {
-		s.emit(Event{Kind: EventSinkEdge, From: x, To: t})
+		s.emit(Event{Kind: EventSinkEdge, From: x, To: s.store.Term(t)})
 	}
 	if s.skipClosure {
 		return
 	}
 	s.store.Clean(x)
-	s.pushSrcRange(x, t, x.PredS.Size())
+	sink := s.store.Term(t)
+	s.pushSrcRange(x, sink, x.PredS.Size())
 	for _, v := range x.PredV.List() {
-		s.push(find(v), t)
+		s.push(find(v), sink)
 	}
 }
 

@@ -201,7 +201,7 @@ func (s *System) BuildVEClosure(ord VEOrder) *VEClosure {
 	d := make([][]*Term, n)
 	pending := make([][][]*Term, n) // contributions received so far
 	for _, u := range elimSeq {
-		own := vars[u].PredS.List()
+		own := s.store.Terms(vars[u].PredS.List())
 		d[u] = mergeTermSets(own, pending[u])
 		pending[u] = nil
 		for _, w := range upSuccs[u] {

@@ -10,13 +10,13 @@ import (
 // locks, so any number of goroutines can query a snapshot while another
 // keeps ingesting constraints into the live solver.
 //
-// Isolation is copy-on-write at the granularity the representation allows:
-// under inductive form the least-solution slices are interned and never
-// mutated after construction, so the snapshot shares them; under standard
-// form the least solution aliases the live source-predecessor storage, so
-// the snapshot copies each slice. Either way, nothing reachable from a
-// Snapshot is written again, and the epoch guard means repeated Snapshot
-// calls on an unchanged graph return the same object without rebuilding.
+// Isolation comes from the solver's least-solution slices themselves: under
+// inductive form each is an interned solution node's term view, never
+// written after it is built, so the snapshot shares it with every later
+// read; under standard form each read returns a fresh slice. Either way,
+// nothing reachable from a Snapshot is written again, and the epoch guard
+// means repeated Snapshot calls on an unchanged graph return the same
+// object without rebuilding.
 type Snapshot struct {
 	version uint64
 	form    Form
@@ -67,7 +67,6 @@ func (s *Solver) snapshotLocked() *Snapshot {
 		return s.snap
 	}
 	s.sys.ComputeLeastSolutions()
-	copySlices := s.sys.Form() == SF
 	n := s.sys.NumCreated()
 	ls := make(map[*Var][]*Term, n)
 	names := make(map[string]*Var, n)
@@ -81,11 +80,7 @@ func (s *Solver) snapshotLocked() *Snapshot {
 		if _, ok := ls[v]; ok {
 			continue // oracle-aliased index: handle already captured
 		}
-		terms := s.sys.LeastSolution(v)
-		if copySlices && len(terms) > 0 {
-			terms = append([]*Term(nil), terms...)
-		}
-		ls[v] = terms
+		ls[v] = s.sys.LeastSolution(v)
 	}
 	var classes []int
 	for _, sz := range classSize {
