@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"polce"
@@ -69,9 +68,6 @@ func main() {
 		baseOut   = flag.String("baseline-out", "", "write the -parallel grid measurements as a JSON baseline to this file")
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
 		lsVerify  = flag.Bool("ls-verify", false, "verify the parallel least-solution pass is bit-identical to the sequential one on every benchmark")
-		reprFlag  = flag.String("repr", "hybrid", "adjacency storage representation: hybrid, csr, or both (both expands the -parallel grid)")
-		veFlag    = flag.Bool("ve", false, "also time a vertex-elimination closure build per run (ve_closure_ns in baselines)")
-		veVerify  = flag.Bool("ve-verify", false, "verify the vertex-elimination closure matches the online least solutions on every benchmark")
 
 		serveLoad     = flag.Bool("serve-load", false, "load-test the HTTP service: N readers race an ingestion writer, report p50/p99 latency and QPS")
 		serveAddr     = flag.String("serve-addr", "", "target an already-running polce-serve (host:port); empty self-hosts one in-process")
@@ -101,17 +97,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger = telemetry.NewLogger(os.Stderr, level)
-
-	var reprs []polce.StorageRepr
-	if strings.EqualFold(*reprFlag, "both") {
-		reprs = []polce.StorageRepr{polce.ReprHybrid, polce.ReprCSR}
-	} else {
-		r, err := polce.ParseRepr(*reprFlag)
-		if err != nil {
-			die(err)
-		}
-		reprs = []polce.StorageRepr{r}
-	}
 
 	if *walVerify != "" {
 		err := bench.RunWALVerify(os.Stdout, bench.WALVerifyOptions{
@@ -143,25 +128,19 @@ func main() {
 	}
 
 	if *retractRun {
-		// -repr both runs the benchmark once per representation; the
-		// self-verification inside RunRetract covers each independently.
-		for _, rp := range reprs {
-			err := bench.RunRetract(os.Stdout, bench.RetractOptions{
-				Clusters:    *retractClusters,
-				ClusterSize: *retractSize,
-				Frac:        *retractFrac,
-				Seed:        *seed,
-				Repr:        rp,
-			})
-			if err != nil {
-				die(err)
-			}
-			fmt.Fprintln(os.Stdout)
+		err := bench.RunRetract(os.Stdout, bench.RetractOptions{
+			Clusters:    *retractClusters,
+			ClusterSize: *retractSize,
+			Frac:        *retractFrac,
+			Seed:        *seed,
+		})
+		if err != nil {
+			die(err)
 		}
 		return
 	}
 
-	if *lsVerify || *veVerify {
+	if *lsVerify {
 		limit := *maxAST
 		if *full {
 			limit = 1 << 30
@@ -170,23 +149,10 @@ func main() {
 		if w <= 1 {
 			w = 4
 		}
-		for _, rp := range reprs {
-			if *lsVerify {
-				if err := bench.VerifyLeastSolutions(os.Stdout, bench.SuiteUpTo(limit), *seed, w, rp); err != nil {
-					die(err)
-				}
-			}
-			if *veVerify {
-				if err := bench.VerifyVEClosures(os.Stdout, bench.SuiteUpTo(limit), *seed, rp); err != nil {
-					die(err)
-				}
-			}
+		if err := bench.VerifyLeastSolutions(os.Stdout, bench.SuiteUpTo(limit), *seed, w); err != nil {
+			die(err)
 		}
 		return
-	}
-
-	if len(reprs) > 1 && !*parallel && *baseOut == "" {
-		die(fmt.Errorf("-repr both only applies to the -parallel grid (and -ls-verify/-ve-verify); pick hybrid or csr"))
 	}
 
 	if !*all && *table == 0 && *figure == 0 && *modelSel == "" && !*ablation && !*cfaExp && !*diag && !*orders && !*sweep && !*baseline && !*metrics && !*parallel && *baseOut == "" {
@@ -273,7 +239,7 @@ func main() {
 	}
 
 	if *parallel || *baseOut != "" {
-		runParallelGrid(suite, exps, reprs, *seed, *workers, *repeat, *lsWorkers, *veFlag, *baseOut)
+		runParallelGrid(suite, exps, *seed, *workers, *repeat, *lsWorkers, *baseOut)
 	}
 
 	var results []*bench.Result
@@ -287,8 +253,6 @@ func main() {
 			// table and the CSV's phase/histogram-summary columns.
 			Phases:    *metrics || *csvPath != "",
 			LSWorkers: *lsWorkers,
-			Repr:      reprs[0],
-			VE:        *veFlag,
 		})
 		if err != nil {
 			die(err)
@@ -393,9 +357,8 @@ func main() {
 // runParallelGrid fans the experiment grid across the worker pool and
 // prints a per-cell summary; with baseOut it also writes the committed
 // baseline JSON (see BENCH_pr2.json). Each cell's seed is derived
-// deterministically from the base seed and the cell's coordinates (repr
-// excluded, so a hybrid and a CSR cell are directly comparable).
-func runParallelGrid(suite []bench.Benchmark, expNames []string, reprs []polce.StorageRepr, seed int64, workers, repeat, lsWorkers int, ve bool, baseOut string) {
+// deterministically from the base seed and the cell's coordinates.
+func runParallelGrid(suite []bench.Benchmark, expNames []string, seed int64, workers, repeat, lsWorkers int, baseOut string) {
 	var exps []bench.Experiment
 	for _, name := range expNames {
 		if e, ok := bench.ExperimentByName(name); ok {
@@ -409,11 +372,11 @@ func runParallelGrid(suite []bench.Benchmark, expNames []string, reprs []polce.S
 			exps = append(exps, e)
 		}
 	}
-	cells := bench.Grid(suite, exps, []polce.OrderStrategy{polce.OrderRandom}, reprs, []int64{seed})
+	cells := bench.Grid(suite, exps, []polce.OrderStrategy{polce.OrderRandom}, []int64{seed})
 	for i := range cells {
 		cells[i].Seed = bench.CellSeed(seed, cells[i])
 	}
-	opt := bench.ParallelOptions{Workers: workers, Repeat: repeat, Phases: true, LSWorkers: lsWorkers, VE: ve}
+	opt := bench.ParallelOptions{Workers: workers, Repeat: repeat, Phases: true, LSWorkers: lsWorkers}
 	logger.Info("running grid", "cells", len(cells), "workers", effectiveWorkers(workers))
 	start := time.Now()
 	results := bench.RunParallel(cells, opt)

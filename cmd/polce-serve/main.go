@@ -20,11 +20,10 @@
 //	curl localhost:8080/v1/snapshot/app
 //	curl localhost:8080/v1/healthz
 //
-// The pre-session routes (POST /v1/constraints, GET /v1/least-solution/Y,
-// ...) still work as deprecated aliases of the default session and answer
-// with a Deprecation header. Reads carry a graph-version ETag and honour
-// If-None-Match with 304s, so re-polling clients pay nothing while the
-// graph is quiet.
+// A client with no namespace of its own uses the session "default"
+// (/v1/constraints/default, ...); a path without a session answers 404.
+// Reads carry a graph-version ETag and honour If-None-Match with 304s, so
+// re-polling clients pay nothing while the graph is quiet.
 //
 // Telemetry is always on: /metrics (Prometheus text), /metrics.json,
 // /debug/vars and /debug/pprof are served on the same address, with
@@ -76,7 +75,6 @@ func main() {
 		cycles    = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
 		seed      = flag.Int64("seed", 1, "variable-order seed")
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS)")
-		reprFlag  = flag.String("repr", "hybrid", "adjacency storage representation: hybrid or csr")
 		retract   = flag.Bool("retractable", true, "track batch reasons so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
 
 		queueDepth   = flag.Int("queue", 64, "ingestion queue depth (batches)")
@@ -103,9 +101,6 @@ func main() {
 	logger = telemetry.NewLogger(os.Stderr, level)
 
 	opt := polce.Options{Seed: *seed, LSWorkers: *lsWorkers, Retractable: *retract}
-	if opt.Repr, err = polce.ParseRepr(*reprFlag); err != nil {
-		fatal("%v", err)
-	}
 	switch strings.ToLower(*form) {
 	case "sf":
 		opt.Form = polce.SF
@@ -212,7 +207,7 @@ func main() {
 	}()
 	logger.Info("serving",
 		"form", opt.Form.String(), "cycles", opt.Cycles.String(),
-		"repr", opt.Repr.String(), "ls_workers", polce.ResolveLSWorkers(*lsWorkers),
+		"ls_workers", polce.ResolveLSWorkers(*lsWorkers),
 		"retractable", *retract,
 		"addr", ln.Addr().String(), "queue", *queueDepth)
 

@@ -41,7 +41,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "variable-order seed")
 		interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic")
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
-		reprFlag  = flag.String("repr", "hybrid", "adjacency storage representation: hybrid or csr")
 		stats     = flag.Bool("stats", false, "print solver statistics")
 		dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
 
@@ -107,9 +106,6 @@ func main() {
 	}
 
 	opt := polce.Options{Seed: *seed, PeriodicInterval: *interval, LSWorkers: *lsWorkers}
-	if opt.Repr, err = polce.ParseRepr(*reprFlag); err != nil {
-		fatal("%v", err)
-	}
 	if sm != nil {
 		opt.Metrics = sm
 	}

@@ -58,7 +58,6 @@ func main() {
 		gen       = flag.Int("gen", 0, "analyse a generated program of roughly N AST nodes instead of a file")
 		interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic (0 = default)")
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
-		reprFlag  = flag.String("repr", "hybrid", "adjacency storage representation: hybrid or csr")
 		trace     = flag.Bool("trace", false, "print cycle collapses and sweeps as they happen")
 		dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
 		ptsDotOut = flag.String("pts-dot", "", "write the points-to graph as Graphviz DOT to this file")
@@ -142,9 +141,6 @@ func main() {
 	}
 
 	opts := andersen.Options{Seed: *seed, PeriodicInterval: *interval, LSWorkers: *lsWorkers}
-	if opts.Repr, err = polce.ParseRepr(*reprFlag); err != nil {
-		fatal("%v", err)
-	}
 	if sm != nil {
 		opts.Metrics = sm
 	}

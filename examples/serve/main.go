@@ -4,7 +4,8 @@
 // self-contained — against a deployed service, replace the base URL),
 // streams two SCL constraint batches into it, and queries least solutions
 // and points-to sets back out while ingestion stays live. This is API v1
-// exactly as curl sees it; see the README's Serving section.
+// exactly as curl sees it, against the "default" session; see the README's
+// Serving section. Any non-2xx answer is fatal (exit 1).
 //
 // Run with: go run ./examples/serve
 package main
@@ -44,7 +45,7 @@ func main() {
 		apple <= X; pear <= X
 		X <= Y; Y <= Z
 	`)
-	get(base, "/v1/least-solution/Z")
+	get(base, "/v1/least-solution/default/Z")
 
 	// Batch two grows the same constraint program: a ref-term makes P a
 	// pointer to X, and a cycle Y <= X that online elimination collapses.
@@ -53,8 +54,8 @@ func main() {
 		ref(X) <= P
 		Y <= X
 	`)
-	get(base, "/v1/points-to/P")
-	get(base, "/v1/snapshot")
+	get(base, "/v1/points-to/default/P")
+	get(base, "/v1/snapshot/default")
 
 	// Drain exactly like polce-serve does on SIGTERM: finish in-flight
 	// requests, flush the ingestion queue, close the solver.
@@ -69,13 +70,14 @@ func main() {
 	fmt.Printf("\ndrained after %d constraints\n", srv.Ingested())
 }
 
-// post sends one SCL batch and prints the service's reply.
+// post sends one SCL batch to the default session and prints the reply.
 func post(base, program string) {
-	resp, err := http.Post(base+"/v1/constraints?wait=1", "text/plain", strings.NewReader(program))
+	const path = "/v1/constraints/default"
+	resp, err := http.Post(base+path+"?wait=1", "text/plain", strings.NewReader(program))
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("POST /v1/constraints  -> %s %s", resp.Status, body(resp))
+	show("POST", path, resp)
 }
 
 // get queries one read endpoint and prints the JSON.
@@ -84,18 +86,22 @@ func get(base, path string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("GET  %-20s -> %s %s", path, resp.Status, body(resp))
+	show("GET", path, resp)
 }
 
-// body re-indents a JSON response for display.
-func body(resp *http.Response) string {
+// show prints a response's status and compacted JSON body, and fails on
+// any non-2xx status.
+func show(method, path string, resp *http.Response) {
 	defer resp.Body.Close()
 	var v any
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		fail(err)
 	}
 	out, _ := json.Marshal(v)
-	return string(out) + "\n"
+	fmt.Printf("%-4s %-28s -> %s %s\n", method, path, resp.Status, out)
+	if resp.StatusCode/100 != 2 {
+		fail(fmt.Errorf("%s %s: %s", method, path, resp.Status))
+	}
 }
 
 func fail(err error) {

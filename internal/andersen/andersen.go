@@ -76,9 +76,6 @@ type Options struct {
 	// LSWorkers is the least-solution pass worker count; see
 	// polce.Options.LSWorkers.
 	LSWorkers int
-	// Repr selects the adjacency storage representation; see
-	// polce.Options.Repr.
-	Repr polce.StorageRepr
 }
 
 // Result is the outcome of an analysis: the solved constraint system plus
@@ -174,7 +171,6 @@ func Analyze(file *cgen.File, opts Options) *Result {
 		Observer:         opts.Observer,
 		Metrics:          opts.Metrics,
 		LSWorkers:        opts.LSWorkers,
-		Repr:             opts.Repr,
 	})
 	return analyzeInto(file, sys, opts)
 }
@@ -186,7 +182,6 @@ func AnalyzeInitial(file *cgen.File, opts Options) *Result {
 		Form:   opts.Form,
 		Cycles: polce.CycleNone,
 		Seed:   opts.Seed,
-		Repr:   opts.Repr,
 	})
 	return analyzeInto(file, sys, opts)
 }

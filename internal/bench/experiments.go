@@ -101,10 +101,6 @@ type Run struct {
 	// predecessor DAG and the memoized-union hit rate of the pass.
 	LSLevels       int64
 	LSUnionHitRate float64
-
-	// VETime is the closed-world vertex-elimination closure build time
-	// (recorded only under Options.VE; not part of Time).
-	VETime time.Duration
 }
 
 // VisitsPerSearch is the measured analogue of Theorem 5.2's E(R_X).
@@ -163,13 +159,6 @@ type Options struct {
 	// LSWorkers is the least-solution pass worker count; see
 	// polce.Options.LSWorkers.
 	LSWorkers int
-	// Repr selects the adjacency storage representation; see
-	// polce.Options.Repr. Both representations are bit-identical in their
-	// results, so this is a pure performance axis.
-	Repr polce.StorageRepr
-	// VE additionally times a closed-world vertex-elimination closure
-	// build after each solve (Run.VETime).
-	VE bool
 }
 
 // RunBenchmark measures the named experiments (nil = all six) on one
@@ -242,7 +231,6 @@ func runOne(p *program, exp Experiment, oracle *polce.Oracle, opt Options, repea
 			Oracle:           oracle,
 			PeriodicInterval: exp.Interval,
 			LSWorkers:        opt.LSWorkers,
-			Repr:             opt.Repr,
 		}
 		var sm *telemetry.SolverMetrics
 		if opt.Phases {
@@ -287,11 +275,6 @@ func runOne(p *program, exp Experiment, oracle *polce.Oracle, opt Options, repea
 		if exp.Form == polce.IF {
 			run.LSLevels = st.LSLevels
 			run.LSUnionHitRate = st.LSUnionHitRate()
-		}
-		if opt.VE {
-			veStart := time.Now()
-			r.Sys.BuildVEClosure(polce.VEOrderMinDegree)
-			run.VETime = time.Since(veStart)
 		}
 		if sm != nil {
 			run.ClosureTime, _ = sm.Phases.Get(telemetry.PhaseClosure)

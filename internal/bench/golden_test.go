@@ -18,7 +18,6 @@ var updateCounters = flag.Bool("update", false, "rewrite testdata/counters.json 
 type goldenCounters struct {
 	Benchmark  string `json:"benchmark"`
 	Experiment string `json:"experiment"`
-	Repr       string `json:"repr"`
 	Seed       int64  `json:"seed"`
 
 	Edges          int     `json:"edges"`
@@ -35,8 +34,8 @@ type goldenCounters struct {
 }
 
 // TestCountersMatchGolden solves every suite program up to 9000 AST nodes
-// under SF-Online and IF-Online in both storage representations and
-// compares each cell's deterministic fields with testdata/counters.json.
+// under SF-Online and IF-Online and compares each cell's deterministic
+// fields with testdata/counters.json.
 // Unlike the determinism tests, which compare two runs of one binary,
 // the golden pins the counters across commits. The least-solution pass
 // runs on one worker: concurrent workers may both miss the union memo on
@@ -49,8 +48,7 @@ func TestCountersMatchGolden(t *testing.T) {
 		e, _ := ExperimentByName(name)
 		exps = append(exps, e)
 	}
-	reprs := []polce.StorageRepr{polce.ReprHybrid, polce.ReprCSR}
-	cells := Grid(SuiteUpTo(9000), exps, []polce.OrderStrategy{polce.OrderRandom}, reprs, []int64{1})
+	cells := Grid(SuiteUpTo(9000), exps, []polce.OrderStrategy{polce.OrderRandom}, []int64{1})
 	for i := range cells {
 		cells[i].Seed = CellSeed(1, cells[i])
 	}
@@ -58,12 +56,11 @@ func TestCountersMatchGolden(t *testing.T) {
 	got := make([]goldenCounters, len(results))
 	for i, r := range results {
 		if r.Err != nil {
-			t.Fatalf("cell %d (%s/%s/%s): %v", i, r.Cell.Bench.Name, r.Cell.Exp.Name, r.Cell.Repr, r.Err)
+			t.Fatalf("cell %d (%s/%s): %v", i, r.Cell.Bench.Name, r.Cell.Exp.Name, r.Err)
 		}
 		got[i] = goldenCounters{
 			Benchmark:      r.Cell.Bench.Name,
 			Experiment:     r.Cell.Exp.Name,
-			Repr:           r.Cell.Repr.String(),
 			Seed:           r.Cell.Seed,
 			Edges:          r.Run.Edges,
 			Work:           r.Run.Work,

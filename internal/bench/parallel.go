@@ -24,32 +24,25 @@ import (
 // input order no matter how workers interleave.
 
 // Cell is one point of the experiment grid: a benchmark solved under one
-// experiment configuration, order strategy, storage representation and
-// seed.
+// experiment configuration, order strategy and seed.
 type Cell struct {
 	Bench Benchmark
 	Exp   Experiment
 	Order polce.OrderStrategy
-	Repr  polce.StorageRepr
 	Seed  int64
 }
 
-// Grid expands the cross product benches × exps × orders × reprs × seeds
-// into cells, in that nesting order (seed varies fastest). The expansion
-// is deterministic, so two processes given the same inputs enumerate the
+// Grid expands the cross product benches × exps × orders × seeds into
+// cells, in that nesting order (seed varies fastest). The expansion is
+// deterministic, so two processes given the same inputs enumerate the
 // same cells at the same indices.
-func Grid(benches []Benchmark, exps []Experiment, orders []polce.OrderStrategy, reprs []polce.StorageRepr, seeds []int64) []Cell {
-	if len(reprs) == 0 {
-		reprs = []polce.StorageRepr{polce.ReprHybrid}
-	}
-	cells := make([]Cell, 0, len(benches)*len(exps)*len(orders)*len(reprs)*len(seeds))
+func Grid(benches []Benchmark, exps []Experiment, orders []polce.OrderStrategy, seeds []int64) []Cell {
+	cells := make([]Cell, 0, len(benches)*len(exps)*len(orders)*len(seeds))
 	for _, b := range benches {
 		for _, e := range exps {
 			for _, o := range orders {
-				for _, rp := range reprs {
-					for _, s := range seeds {
-						cells = append(cells, Cell{Bench: b, Exp: e, Order: o, Repr: rp, Seed: s})
-					}
+				for _, s := range seeds {
+					cells = append(cells, Cell{Bench: b, Exp: e, Order: o, Seed: s})
 				}
 			}
 		}
@@ -60,10 +53,7 @@ func Grid(benches []Benchmark, exps []Experiment, orders []polce.OrderStrategy, 
 // CellSeed derives a per-cell solver seed from a base seed, mixing in the
 // cell's coordinates so distinct cells draw distinct (but reproducible)
 // variable orders. FNV-1a over the cell identity keeps it stable across
-// runs and processes. Repr is deliberately NOT mixed in: a hybrid and a
-// CSR cell at the same coordinates must draw the same variable order so
-// their counters are directly comparable (the representations are
-// bit-identical by contract).
+// runs and processes.
 func CellSeed(base int64, c Cell) int64 {
 	const (
 		offset = 14695981039346656037
@@ -107,9 +97,6 @@ type ParallelOptions struct {
 	// LSWorkers is the least-solution pass worker count per cell; see
 	// polce.Options.LSWorkers.
 	LSWorkers int
-	// VE additionally times a vertex-elimination closure build per cell
-	// (BaselineCell.VEClosureNS).
-	VE bool
 }
 
 // RunParallel measures every cell on a pool of workers. Cells are claimed
@@ -155,7 +142,7 @@ func runCell(c Cell, opt ParallelOptions) CellResult {
 	var oracle *polce.Oracle
 	if c.Exp.Cycles == polce.CycleOracle {
 		ref := andersen.Analyze(p.file, andersen.Options{
-			Form: polce.IF, Cycles: polce.CycleOnline, Seed: c.Seed, Order: c.Order, Repr: c.Repr,
+			Form: polce.IF, Cycles: polce.CycleOnline, Seed: c.Seed, Order: c.Order,
 		})
 		oracle = polce.BuildOracle(ref.Sys)
 	}
@@ -163,7 +150,7 @@ func runCell(c Cell, opt ParallelOptions) CellResult {
 	if repeat <= 0 {
 		repeat = 1
 	}
-	run := runOne(p, c.Exp, oracle, Options{Seed: c.Seed, Order: c.Order, Phases: opt.Phases, LSWorkers: opt.LSWorkers, Repr: c.Repr, VE: opt.VE}, repeat)
+	run := runOne(p, c.Exp, oracle, Options{Seed: c.Seed, Order: c.Order, Phases: opt.Phases, LSWorkers: opt.LSWorkers}, repeat)
 	return CellResult{Cell: c, Run: run}
 }
 
@@ -186,7 +173,6 @@ type BaselineCell struct {
 	Benchmark  string `json:"benchmark"`
 	Experiment string `json:"experiment"`
 	Order      string `json:"order"`
-	Repr       string `json:"repr"`
 	Seed       int64  `json:"seed"`
 
 	SolveNS         int64 `json:"solve_ns"`
@@ -206,10 +192,6 @@ type BaselineCell struct {
 	// Least-solution engine shape (schema /2; zero for SF cells).
 	LSLevels       int64   `json:"ls_levels"`
 	LSUnionHitRate float64 `json:"ls_union_hit_rate"`
-
-	// Vertex-elimination closure build time (schema /3; zero unless the
-	// run asked for it with ParallelOptions.VE).
-	VEClosureNS int64 `json:"ve_closure_ns"`
 }
 
 // NewBaseline assembles the baseline record for a parallel run. Cells with
@@ -224,7 +206,7 @@ func NewBaseline(results []CellResult, opt ParallelOptions, now time.Time) Basel
 		repeat = 1
 	}
 	b := Baseline{
-		Schema:    "polce-bench-baseline/3",
+		Schema:    "polce-bench-baseline/4",
 		Generated: now.UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Workers:   workers,
@@ -239,7 +221,6 @@ func NewBaseline(results []CellResult, opt ParallelOptions, now time.Time) Basel
 			Benchmark:       r.Cell.Bench.Name,
 			Experiment:      r.Cell.Exp.Name,
 			Order:           r.Cell.Order.String(),
-			Repr:            r.Cell.Repr.String(),
 			Seed:            r.Cell.Seed,
 			SolveNS:         r.Run.SolveTime.Nanoseconds(),
 			ClosureNS:       r.Run.ClosureTime.Nanoseconds(),
@@ -255,7 +236,6 @@ func NewBaseline(results []CellResult, opt ParallelOptions, now time.Time) Basel
 			DepthMax:        r.Run.DepthMax,
 			LSLevels:        r.Run.LSLevels,
 			LSUnionHitRate:  r.Run.LSUnionHitRate,
-			VEClosureNS:     r.Run.VETime.Nanoseconds(),
 		})
 	}
 	return b
@@ -270,15 +250,15 @@ func WriteBaseline(w io.Writer, b Baseline) error {
 
 // ParallelTable prints a compact per-cell summary of a parallel run.
 func ParallelTable(w io.Writer, results []CellResult) {
-	fmt.Fprintf(w, "%-14s %-12s %-9s %-7s %10s %10s %10s %10s %8s\n",
-		"benchmark", "experiment", "order", "repr", "solve", "closure", "ls", "edges", "elim")
+	fmt.Fprintf(w, "%-14s %-12s %-9s %10s %10s %10s %10s %8s\n",
+		"benchmark", "experiment", "order", "solve", "closure", "ls", "edges", "elim")
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Fprintf(w, "%-14s %-12s %-9s %-7s ERROR: %v\n", r.Cell.Bench.Name, r.Cell.Exp.Name, r.Cell.Order, r.Cell.Repr, r.Err)
+			fmt.Fprintf(w, "%-14s %-12s %-9s ERROR: %v\n", r.Cell.Bench.Name, r.Cell.Exp.Name, r.Cell.Order, r.Err)
 			continue
 		}
-		fmt.Fprintf(w, "%-14s %-12s %-9s %-7s %10s %10s %10s %10d %8d\n",
-			r.Cell.Bench.Name, r.Cell.Exp.Name, r.Cell.Order, r.Cell.Repr,
+		fmt.Fprintf(w, "%-14s %-12s %-9s %10s %10s %10s %10d %8d\n",
+			r.Cell.Bench.Name, r.Cell.Exp.Name, r.Cell.Order,
 			r.Run.SolveTime.Round(time.Microsecond),
 			r.Run.ClosureTime.Round(time.Microsecond),
 			r.Run.LSTime.Round(time.Microsecond),

@@ -10,7 +10,7 @@ import (
 )
 
 // smallGrid is a grid small enough for tests but wide enough to exercise
-// form × policy × order × repr fan-out, including a per-cell oracle build.
+// form × policy × order fan-out, including a per-cell oracle build.
 func smallGrid(t *testing.T) []Cell {
 	t.Helper()
 	benches := []Benchmark{Suite[0], Suite[1]} // allroots, diff.diffh
@@ -20,8 +20,7 @@ func smallGrid(t *testing.T) []Cell {
 		Experiments[3], // IF-Oracle: exercises the cell-local reference pass
 	}
 	orders := []polce.OrderStrategy{polce.OrderRandom, polce.OrderCreation}
-	reprs := []polce.StorageRepr{polce.ReprHybrid, polce.ReprCSR}
-	cells := Grid(benches, exps, orders, reprs, []int64{1})
+	cells := Grid(benches, exps, orders, []int64{1})
 	for i := range cells {
 		cells[i].Seed = CellSeed(1, cells[i])
 	}
@@ -32,32 +31,21 @@ func smallGrid(t *testing.T) []Cell {
 // two independent expansions must agree cell for cell.
 func TestGridDeterministic(t *testing.T) {
 	a, b := smallGrid(t), smallGrid(t)
-	if len(a) != len(b) || len(a) != 2*3*2*2 {
-		t.Fatalf("grid sizes %d, %d; want %d", len(a), len(b), 2*3*2*2)
+	if len(a) != len(b) || len(a) != 2*3*2 {
+		t.Fatalf("grid sizes %d, %d; want %d", len(a), len(b), 2*3*2)
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("cell %d differs across expansions: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	// Distinct coordinates must draw distinct derived seeds — except the
-	// repr axis, which deliberately shares the seed so a hybrid cell and
-	// its CSR twin are directly comparable.
+	// Distinct coordinates must draw distinct derived seeds.
 	seen := map[int64]Cell{}
 	for i, c := range a {
-		prev, dup := seen[c.Seed]
-		if !dup {
-			seen[c.Seed] = c
-			continue
+		if prev, dup := seen[c.Seed]; dup {
+			t.Errorf("cell %d shares derived seed %d with cell %+v", i, c.Seed, prev)
 		}
-		twin := c
-		twin.Repr = prev.Repr
-		if twin != prev {
-			t.Errorf("cell %d shares derived seed %d with a non-twin cell %+v", i, c.Seed, prev)
-		}
-	}
-	if len(seen) != len(a)/2 {
-		t.Errorf("distinct seeds = %d, want one per repr pair (%d)", len(seen), len(a)/2)
+		seen[c.Seed] = c
 	}
 }
 
@@ -121,7 +109,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("baseline does not round-trip: %v", err)
 	}
-	if back.Schema != "polce-bench-baseline/3" {
+	if back.Schema != "polce-bench-baseline/4" {
 		t.Errorf("schema = %q", back.Schema)
 	}
 	if len(back.Cells) != len(cells) {
@@ -136,9 +124,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 		}
 		if bc.Edges == 0 || bc.Work == 0 {
 			t.Errorf("baseline cell %d has empty counters: %+v", i, bc)
-		}
-		if bc.Repr != cells[i].Repr.String() {
-			t.Errorf("baseline cell %d repr = %q, want %q", i, bc.Repr, cells[i].Repr)
 		}
 	}
 }

@@ -23,8 +23,6 @@ type RetractOptions struct {
 	Frac float64
 	// Seed is the solver's variable-order seed.
 	Seed int64
-	// Repr picks the adjacency storage representation.
-	Repr polce.StorageRepr
 }
 
 func (o RetractOptions) withDefaults() RetractOptions {
@@ -88,7 +86,7 @@ func RunRetract(w io.Writer, o RetractOptions) error {
 	o = o.withDefaults()
 	opt := polce.Options{
 		Form: polce.IF, Cycles: polce.CycleOnline,
-		Seed: o.Seed, Repr: o.Repr, Retractable: true,
+		Seed: o.Seed, Retractable: true,
 	}
 
 	s := polce.New(opt)
@@ -107,8 +105,8 @@ func RunRetract(w io.Writer, o RetractOptions) error {
 		retracted[ids[c]] = true
 	}
 
-	fmt.Fprintf(w, "retract: %d clusters x %d vars, frac %.2f (%d batches retracted), repr %s, seed %d\n",
-		o.Clusters, o.ClusterSize, o.Frac, len(targets), opt.Repr, o.Seed)
+	fmt.Fprintf(w, "retract: %d clusters x %d vars, frac %.2f (%d batches retracted), seed %d\n",
+		o.Clusters, o.ClusterSize, o.Frac, len(targets), o.Seed)
 	fmt.Fprintf(w, "  build:    %d batches, %d vars, %d edge attempts in %s\n",
 		o.Clusters, s.NumCreated(), s.Stats().Work, buildTime.Round(time.Microsecond))
 

@@ -17,23 +17,19 @@ import (
 	"polce/internal/walreplay"
 )
 
-// TestRunRetract smoke-tests the retraction benchmark on both storage
-// representations; RunRetract self-verifies against a from-scratch solve,
-// so a nil error is the whole assertion.
+// TestRunRetract smoke-tests the retraction benchmark; RunRetract
+// self-verifies against a from-scratch solve, so a nil error is the whole
+// assertion.
 func TestRunRetract(t *testing.T) {
-	for _, repr := range []polce.StorageRepr{polce.ReprHybrid, polce.ReprCSR} {
-		var out bytes.Buffer
-		err := RunRetract(&out, RetractOptions{
-			Clusters: 24, ClusterSize: 8, Frac: 0.25, Seed: 3, Repr: repr,
-		})
-		if err != nil {
-			t.Fatalf("%v: RunRetract: %v\n%s", repr, err, out.String())
-		}
-		text := out.String()
-		for _, want := range []string{"verify:   OK", "counters: retracts=6"} {
-			if !strings.Contains(text, want) {
-				t.Fatalf("%v: report missing %q:\n%s", repr, want, text)
-			}
+	var out bytes.Buffer
+	err := RunRetract(&out, RetractOptions{Clusters: 24, ClusterSize: 8, Frac: 0.25, Seed: 3})
+	if err != nil {
+		t.Fatalf("RunRetract: %v\n%s", err, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{"verify:   OK", "counters: retracts=6"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("report missing %q:\n%s", want, text)
 		}
 	}
 }

@@ -409,7 +409,7 @@ func p50(ds []time.Duration) time.Duration {
 
 // postBatch POSTs one SCL program and fails on any non-2xx status.
 func postBatch(client *http.Client, base, program string, wait bool) error {
-	url := base + "/v1/constraints"
+	url := base + "/v1/constraints/default"
 	if wait {
 		url += "?wait=1"
 	}
@@ -420,7 +420,7 @@ func postBatch(client *http.Client, base, program string, wait bool) error {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("POST /v1/constraints: %d: %s", resp.StatusCode, body)
+		return fmt.Errorf("POST /v1/constraints/default: %d: %s", resp.StatusCode, body)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"strings"
-	"sync/atomic"
-)
+import "strings"
 
 // Variance describes how a constructor argument position behaves under
 // inclusion: a covariant position grows the constructed set as the argument
@@ -65,7 +62,6 @@ type Expr interface {
 type Term struct {
 	con  *Constructor
 	args []Expr
-	seq  uint32 // global creation sequence; sorts the VE closure's report
 }
 
 // NewTerm builds a constructed term. It panics if the number of arguments
@@ -75,24 +71,14 @@ func NewTerm(c *Constructor, args ...Expr) *Term {
 	if len(args) != c.Arity() {
 		panic("core: term arity mismatch for constructor " + c.name)
 	}
-	return &Term{con: c, args: args, seq: termSeq.Add(1)}
+	return &Term{con: c, args: args}
 }
-
-// termSeq numbers terms at creation. The sequence gives terms a stable,
-// pointer-free sort key across stores; it is atomic because clients may
-// build terms from multiple goroutines even though each solver is
-// single-threaded.
-var termSeq atomic.Uint32
 
 // Con returns the term's constructor.
 func (t *Term) Con() *Constructor { return t.con }
 
 // Arg returns the i-th argument expression.
 func (t *Term) Arg(i int) Expr { return t.args[i] }
-
-// Seq returns the term's global creation sequence number, a stable sort
-// key for reports that order terms independently of any store.
-func (t *Term) Seq() uint32 { return t.seq }
 
 // String renders the term as c(arg1,...,argn).
 func (t *Term) String() string {

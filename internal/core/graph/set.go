@@ -38,8 +38,7 @@ func tableSize(n int) (size int, shift uint32) {
 // entries are canonicalised lazily by Compact.
 type VarSet struct {
 	list []*Var
-	idx  *posIndex    // nil while len(list) <= smallSetThreshold
-	ar   *arena[*Var] // nil under ReprHybrid; owns list's storage otherwise
+	idx  *posIndex // nil while len(list) <= smallSetThreshold
 }
 
 // posIndex is an open-addressed hash index into a VarSet's list: each slot
@@ -47,8 +46,7 @@ type VarSet struct {
 // linear from a Fibonacci hash of the variable's creation index, and a
 // probe compares the variable stored at the slot's list position, so two
 // variables sharing an index stay distinct. Slots hold no pointers, so the
-// garbage collector never scans them, and positions survive any move of
-// the list's storage (CSR repack).
+// garbage collector never scans them.
 type posIndex struct {
 	slots []int32
 	shift uint32
@@ -93,7 +91,7 @@ func (s *VarSet) Add(v *Var) bool {
 		if found {
 			return false
 		}
-		s.list = s.ar.push(s.list, v)
+		s.list = append(s.list, v)
 		s.idx.slots[slot] = int32(len(s.list))
 		if 2*len(s.list) > len(s.idx.slots) {
 			s.reindex()
@@ -103,7 +101,7 @@ func (s *VarSet) Add(v *Var) bool {
 	if slices.Contains(s.list, v) {
 		return false
 	}
-	s.list = s.ar.push(s.list, v)
+	s.list = append(s.list, v)
 	if len(s.list) > smallSetThreshold {
 		s.reindex()
 	}
@@ -136,18 +134,10 @@ func (s *VarSet) Take() []*Var {
 	return l
 }
 
-// release drops the set's contents and retires its arena storage.
+// release drops the set's contents.
 func (s *VarSet) release() {
-	s.ar.retire(cap(s.list))
 	s.list = nil
 	s.idx = nil
-}
-
-// repack re-allocates the set's elements densely in a (post-reset) arena.
-// Positions are unchanged, so the index stays valid.
-func (s *VarSet) repack(a *arena[*Var]) {
-	s.ar = a
-	s.list = a.repack(s.list)
 }
 
 // Compact canonicalises every entry under Find, dropping duplicates and
@@ -206,8 +196,7 @@ func (s *VarSet) Compact(self *Var) []*Var {
 // compaction is needed: a term set only grows until it is released.
 type TermSet struct {
 	list []TermID
-	idx  *TermIndex     // nil while len(list) <= smallSetThreshold
-	ar   *arena[TermID] // nil under ReprHybrid; owns list's storage otherwise
+	idx  *TermIndex // nil while len(list) <= smallSetThreshold
 }
 
 // TermIndex is a membership index over term ids: the index of a promoted
@@ -313,7 +302,7 @@ func (s *TermSet) Add(id TermID) bool {
 		} else {
 			break // the bitset would outgrow the table: rebuild as a table
 		}
-		s.list = s.ar.push(s.list, id)
+		s.list = append(s.list, id)
 		x.words[w] |= 1 << (id & 63)
 		return true
 	default:
@@ -322,13 +311,13 @@ func (s *TermSet) Add(id TermID) bool {
 			return false
 		}
 		if 2*(len(s.list)+1) <= len(x.slots) {
-			s.list = s.ar.push(s.list, id)
+			s.list = append(s.list, id)
 			x.slots[slot] = int32(id) + 1
 			return true
 		}
 	}
 	// A small set, or an index that no longer fits: append and (re)build.
-	s.list = s.ar.push(s.list, id)
+	s.list = append(s.list, id)
 	if len(s.list) > smallSetThreshold {
 		if s.idx == nil {
 			s.idx = &TermIndex{}
@@ -354,16 +343,8 @@ func (s *TermSet) Size() int { return len(s.list) }
 // across an Add.
 func (s *TermSet) List() []TermID { return s.list }
 
-// release drops the set's contents and retires its arena storage.
+// release drops the set's contents.
 func (s *TermSet) release() {
-	s.ar.retire(cap(s.list))
 	s.list = nil
 	s.idx = nil
-}
-
-// repack re-allocates the set's elements densely in a (post-reset) arena.
-// The index holds ids, not positions, so it stays valid.
-func (s *TermSet) repack(a *arena[TermID]) {
-	s.ar = a
-	s.list = a.repack(s.list)
 }

@@ -104,14 +104,14 @@ func checkSet(s *VarSet, ref []*Var, shape *indexShape) error {
 
 // TestHybridSetMatchesMapReference drives random operation streams —
 // inserts, membership probes, collapse-style forwarding (single and whole
-// blocks), un-forwarding as Store.ResetVar does it, compaction and CSR
-// repacks — through the hybrid small-set and the map-backed reference in
+// blocks), un-forwarding as Store.ResetVar does it and compaction —
+// through the hybrid small-set and the map-backed reference in
 // lockstep, over a pool large enough that the index grows several times
 // and compaction demotes and re-promotes it, and demands identical
 // membership answers and insertion order throughout.
 func TestHybridSetMatchesMapReference(t *testing.T) {
 	var shape indexShape
-	property := func(seed16 uint16, csr bool) bool {
+	property := func(seed16 uint16) bool {
 		rng := rand.New(rand.NewSource(int64(seed16)))
 		pool := make([]*Var, 320)
 		for i := range pool {
@@ -119,11 +119,6 @@ func TestHybridSetMatchesMapReference(t *testing.T) {
 		}
 		var hy VarSet
 		var ref refSet[*Var]
-		var ar *arena[*Var]
-		if csr {
-			ar = &arena[*Var]{}
-			hy.ar = ar
-		}
 		self := pool[0]
 		for op := 0; op < 800; op++ {
 			v := pool[rng.Intn(len(pool))]
@@ -157,7 +152,7 @@ func TestHybridSetMatchesMapReference(t *testing.T) {
 				}
 			case 8: // un-forward, as Store.ResetVar does to a listed variable
 				v.parent = nil
-			default: // canonicalise both sets, sometimes repack
+			default: // canonicalise both sets
 				promoted := hy.idx != nil
 				h := hy.Compact(self)
 				r := compactRef(&ref, self)
@@ -173,10 +168,6 @@ func TestHybridSetMatchesMapReference(t *testing.T) {
 						t.Logf("seed %d op %d: compact order differs at %d", seed16, op, i)
 						return false
 					}
-				}
-				if ar != nil && rng.Intn(3) == 0 {
-					ar.reset()
-					hy.repack(ar)
 				}
 			}
 			if err := checkSet(&hy, ref.list, &shape); err != nil {
@@ -305,28 +296,22 @@ var termPools = map[string]func(rng *rand.Rand) []TermID{
 }
 
 // TestTermSetMatchesMapReference is the TermSet sibling: inserts, probes
-// (of ids inside, past the end of and far beyond any bitset), release (a
-// variable reset for retraction) and CSR repacks against the map-backed
-// reference, over dense, sparse and switching id pools. Besides answers
+// (of ids inside, past the end of and far beyond any bitset) and release
+// (a variable reset for retraction) against the map-backed reference, over dense, sparse and switching id pools. Besides answers
 // and insertion order it checks the index mode each pool must reach.
 func TestTermSetMatchesMapReference(t *testing.T) {
 	for name, pool := range termPools {
 		t.Run(name, func(t *testing.T) {
 			var shape termShape
-			property := func(seed16 uint16, csr bool) bool {
+			property := func(seed16 uint16) bool {
 				rng := rand.New(rand.NewSource(int64(seed16)))
 				ids := pool(rng)
 				var hy TermSet
 				var ref refSet[TermID]
-				var ar *arena[TermID]
-				if csr {
-					ar = &arena[TermID]{}
-					hy.ar = ar
-				}
 				for op := 0; op < 800; op++ {
 					id := ids[rng.Intn(len(ids))]
 					before := indexMode(&hy)
-					switch r := rng.Intn(40); {
+					switch r := rng.Intn(39); {
 					case r < 24:
 						if hy.Add(id) != ref.add(id) {
 							t.Logf("seed %d op %d: add(%d) disagrees", seed16, op, id)
@@ -343,14 +328,9 @@ func TestTermSetMatchesMapReference(t *testing.T) {
 							t.Logf("seed %d op %d: has(%d) disagrees", seed16, op, far)
 							return false
 						}
-					case r == 38:
+					default:
 						hy.release()
 						ref = refSet[TermID]{}
-					default:
-						if ar != nil {
-							ar.reset()
-							hy.repack(ar)
-						}
 					}
 					if err := checkTermSet(&hy, ref.list, &shape); err != nil {
 						t.Logf("seed %d op %d: %v", seed16, op, err)
@@ -495,15 +475,15 @@ func TestCompactCanonicalSetUntouched(t *testing.T) {
 	}
 }
 
-// TestVarSize pins graph.Var at 240 bytes on 64-bit platforms. That fills
-// the 240-byte malloc size class exactly; one more word would move every
-// variable of every workload into the 256-byte class, 16 B each.
+// TestVarSize pins graph.Var at 208 bytes on 64-bit platforms. That fills
+// the 208-byte malloc size class exactly; one more word would move every
+// variable of every workload into the 224-byte class, 16 B each.
 func TestVarSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Var{}); got != 240 {
-		t.Fatalf("unsafe.Sizeof(Var{}) = %d, want 240", got)
+	if got := unsafe.Sizeof(Var{}); got != 208 {
+		t.Fatalf("unsafe.Sizeof(Var{}) = %d, want 208", got)
 	}
 }
 

@@ -29,13 +29,6 @@ type Store struct {
 	termIDs map[*Term]TermID // inverse of terms
 
 	mergeEpoch uint64 // bumped on every collapse; drives lazy compaction
-
-	// Flat-memory backend (see csr.go). Both arenas are nil under
-	// ReprHybrid; under ReprCSR every adjacency set of every variable is
-	// a segment of one of them.
-	repr      Repr
-	varArena  *arena[*Var]
-	termArena *arena[TermID]
 }
 
 // TermID is a term's dense id in one store's term table. Term sets hold
@@ -78,7 +71,6 @@ func (st *Store) Terms(ids []TermID) []*Term {
 // total-order position, and registers it as live.
 func (st *Store) Fresh(name string, order uint64) *Var {
 	v := NewVar(name, len(st.created), order)
-	st.attachArenas(v)
 	st.created = append(st.created, v)
 	st.vars = append(st.vars, v)
 	return v
@@ -112,13 +104,13 @@ func (st *Store) Forward(a, w *Var) {
 // once per collapse.
 func (st *Store) BumpMergeEpoch() { st.mergeEpoch++ }
 
-// ResetVar returns v to its freshly-created state: adjacency cleared (arena
-// capacity retired, arenas stay attached), forwarding pointer removed,
-// search mark and least-solution slot zeroed. The retraction engine calls
-// it for every variable in a dirty cone before replaying the surviving
-// constraints. A variable it un-forwards is live again: one still listed
-// stops counting as dead, and one that compaction already dropped is queued
-// for the next whole-graph walk to merge back in creation order.
+// ResetVar returns v to its freshly-created state: adjacency cleared,
+// forwarding pointer removed, search mark and least-solution slot zeroed.
+// The retraction engine calls it for every variable in a dirty cone
+// before replaying the surviving constraints. A variable it un-forwards
+// is live again: one still listed stops counting as dead, and one that
+// compaction already dropped is queued for the next whole-graph walk to
+// merge back in creation order.
 func (st *Store) ResetVar(v *Var) {
 	if v.parent != nil {
 		st.relist(v)

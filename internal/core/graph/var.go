@@ -66,6 +66,16 @@ func (v *Var) Forwarded() bool { return v.parent != nil }
 // String returns the variable's name.
 func (v *Var) String() string { return v.name }
 
+// ReleaseStorage drops v's adjacency sets. The engine calls it for
+// collapsed variables once no pending worklist entry can reference their
+// term sets.
+func (v *Var) ReleaseStorage() {
+	v.PredV.release()
+	v.PredS.release()
+	v.SuccV.release()
+	v.SuccK.release()
+}
+
 func (v *Var) isExpr() {}
 
 // Find follows forwarding pointers to v's representative, compressing the

@@ -54,9 +54,6 @@ type (
 	// Intersection is a set intersection usable on the right-hand side of
 	// a constraint.
 	Intersection = graph.Intersection
-	// ArenaStats describes the flat-memory (CSR) storage backend; see
-	// StorageStats.
-	ArenaStats = graph.ArenaStats
 )
 
 const (

@@ -1,37 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-	"time"
-
-	"polce/internal/core/graph"
-)
-
-// StorageRepr selects the adjacency storage representation: ReprHybrid is
-// the per-set slice layout, ReprCSR the arena-backed flat-memory layout.
-// Both run the same drain loop and produce bit-identical partition
-// signatures, least solutions and Stats counters; they differ only in
-// memory layout and constant factors. See graph.Repr.
-type StorageRepr = graph.Repr
-
-const (
-	// ReprHybrid is the classic hybrid small-set layout (the default).
-	ReprHybrid = graph.ReprHybrid
-	// ReprCSR is the arena-backed CSR layout.
-	ReprCSR = graph.ReprCSR
-)
-
-// ParseRepr parses a -repr flag value ("hybrid" or "csr").
-func ParseRepr(s string) (StorageRepr, error) {
-	switch strings.ToLower(s) {
-	case "", "hybrid":
-		return ReprHybrid, nil
-	case "csr":
-		return ReprCSR, nil
-	}
-	return ReprHybrid, fmt.Errorf("unknown storage representation %q (want hybrid or csr)", s)
-}
+import "time"
 
 // MetricsSink receives per-operation solver measurements as they happen.
 // It is the distribution-level counterpart of Options.Observer: where the
@@ -220,10 +189,6 @@ type Options struct {
 	// setting. Zero or negative means GOMAXPROCS; 1 forces the sequential
 	// pass.
 	LSWorkers int
-	// Repr selects the adjacency storage representation (default
-	// ReprHybrid). It changes where adjacency elements live, never the
-	// drain; results are bit-identical at either setting.
-	Repr StorageRepr
 	// Retractable enables constraint retraction: every batch added
 	// between BeginBatch/EndBatch is recorded (constraints, variable
 	// footprint, edge-attempt keys) so RetractBatches can later remove

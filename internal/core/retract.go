@@ -40,9 +40,8 @@ import (
 //     of every batch reachable from the retracted ones through footprint
 //     intersection. Every dirty variable is reset wholesale to its
 //     freshly-created state (adjacency cleared, forwarding removed — this
-//     un-collapses every witness in the region and is the CSR story as
-//     well: the variable's arena segments are retired and rebuilt, no
-//     per-edge surgery), and the surviving dirty batches are replayed in
+//     un-collapses every witness in the region with no per-edge
+//     surgery), and the surviving dirty batches are replayed in
 //     their original order through the normal push/drain path. Clean
 //     components are untouched and replay is confined to the dirty
 //     region, so the result is bit-identical — partition signature and
@@ -442,9 +441,9 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	}
 
 	// Rollback: reset every dirty variable to its created state (this
-	// un-collapses every witness in the region, retires its arena segments
-	// and re-lists it as live), drop the dirty batches' errors, and
-	// invalidate the dirty cone's least-solution entries.
+	// un-collapses every witness in the region and re-lists it as live),
+	// drop the dirty batches' errors, and invalidate the dirty cone's
+	// least-solution entries.
 	for _, v := range dirtyVars {
 		s.store.ResetVar(v)
 	}

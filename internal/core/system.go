@@ -133,7 +133,6 @@ func NewSystem(opt Options) *System {
 		}
 		s.retract = newRetractState()
 	}
-	s.store.SetRepr(opt.Repr)
 	if opt.Form == SF {
 		s.rep = standardForm{}
 	} else {
@@ -367,19 +366,14 @@ func (s *System) fanRun(t graph.TermID, n int) {
 }
 
 // flushDelta runs at the end of every drain, when no range entry is
-// pending: collapsed variables' storage (kept alive for in-flight ranges)
-// is released, and under ReprCSR the arenas are repacked into CSR layout
-// if enough garbage has accumulated. This is the only point a compaction
-// can run, which is what makes it safe — no worklist entry, iterator or
-// chain search references arena storage here.
+// pending: collapsed variables' storage, kept alive until now because a
+// range entry may still re-read an absorbed variable's term sets, is
+// released.
 func (s *System) flushDelta() {
-	if len(s.deferredFree) > 0 {
-		for _, a := range s.deferredFree {
-			a.ReleaseStorage()
-		}
-		s.deferredFree = s.deferredFree[:0]
+	for _, a := range s.deferredFree {
+		a.ReleaseStorage()
 	}
-	s.store.MaybeCompactArenas()
+	s.deferredFree = s.deferredFree[:0]
 }
 
 // step resolves one constraint to atomic form, applying the resolution
@@ -616,17 +610,11 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// StorageStats describes the storage backend and drain shape: which
-// representation is active, the arena's edge-block state (zero under
-// ReprHybrid), the worklist high-water mark, and how the drain batched
-// term-set crossings into range entries. Both layouts run the same drain,
-// so only Repr and Arena differ between them. These are deliberately *not*
-// part of Stats, which pins the closure's behaviour, not its shape.
+// StorageStats describes the drain's shape: the worklist high-water mark,
+// and how the drain batched term-set crossings into range entries. These
+// are deliberately *not* part of Stats, which pins the closure's
+// behaviour, not its shape.
 type StorageStats struct {
-	// Repr is the active representation's flag spelling ("hybrid", "csr").
-	Repr string `json:"repr"`
-	// Arena is the flat-memory backend state; see graph.ArenaStats.
-	Arena graph.ArenaStats `json:"arena"`
 	// WorklistHWM is the worklist's high-water mark in entries (a range
 	// or fan entry counts once however many elements it holds).
 	WorklistHWM int `json:"worklist_hwm"`
@@ -636,11 +624,9 @@ type StorageStats struct {
 	DeltaMaxSpan int   `json:"delta_max_span"`
 }
 
-// StorageStats reports the storage backend and drain-shape counters.
+// StorageStats reports the drain-shape counters.
 func (s *System) StorageStats() StorageStats {
 	return StorageStats{
-		Repr:         s.store.Repr().String(),
-		Arena:        s.store.ArenaStats(),
 		WorklistHWM:  s.workHWM,
 		DeltaRanges:  s.deltaRanges,
 		DeltaMaxSpan: s.deltaMaxSpan,

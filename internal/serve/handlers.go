@@ -22,11 +22,7 @@ import (
 // listener serves both the API and /metrics.
 func (s *Server) routes() {
 	for _, rt := range routeTable {
-		h := rt.handler(s)
-		if rt.deprecated {
-			h = s.deprecated(h)
-		}
-		s.handle(rt.name, rt.pattern, h)
+		s.handle(rt.name, rt.pattern, rt.handler(s))
 	}
 	if s.cfg.Registry != nil {
 		tm := telemetry.NewMux(s.cfg.Registry)
@@ -43,48 +39,26 @@ func (s *Server) routes() {
 }
 
 // routeTable is the v1 routing surface as data, one row per pattern: the
-// sessionized routes, the deprecated pre-session aliases (which resolve to
-// the default session and answer with a Deprecation header), and the
-// session-free service routes. The router test walks this table, so a
-// route added here is exercised automatically.
+// sessionized routes and the session-free service routes. The router test
+// walks this table, so a route added here is exercised automatically.
 var routeTable = []struct {
-	name       string // route-metrics label
-	pattern    string
-	deprecated bool
-	handler    func(*Server) func(http.ResponseWriter, *http.Request) error
+	name    string // route-metrics label
+	pattern string
+	handler func(*Server) func(http.ResponseWriter, *http.Request) error
 }{
-	{"constraints", "POST /v1/constraints/{session}", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleConstraints }},
-	{"retract", "DELETE /v1/constraints/{session}/{batch}", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleRetract }},
-	{"points_to", "GET /v1/points-to/{session}/{var}", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handlePointsTo }},
-	{"least_solution", "GET /v1/least-solution/{session}/{var}", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleLeastSolution }},
-	{"snapshot", "GET /v1/snapshot/{session}", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleSnapshot }},
-	{"constraints", "POST /v1/constraints", true, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleConstraints }},
-	{"points_to", "GET /v1/points-to/{var}", true, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handlePointsTo }},
-	{"least_solution", "GET /v1/least-solution/{var}", true, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleLeastSolution }},
-	{"snapshot", "GET /v1/snapshot", true, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleSnapshot }},
-	{"healthz", "GET /v1/healthz", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleHealthz }},
-	{"debug_stats", "GET /v1/debug/stats", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleDebugStats }},
-	{"debug_top", "GET /v1/debug/top", false, func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleDebugTop }},
+	{"constraints", "POST /v1/constraints/{session}", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleConstraints }},
+	{"retract", "DELETE /v1/constraints/{session}/{batch}", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleRetract }},
+	{"points_to", "GET /v1/points-to/{session}/{var}", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handlePointsTo }},
+	{"least_solution", "GET /v1/least-solution/{session}/{var}", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleLeastSolution }},
+	{"snapshot", "GET /v1/snapshot/{session}", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleSnapshot }},
+	{"healthz", "GET /v1/healthz", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleHealthz }},
+	{"debug_stats", "GET /v1/debug/stats", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleDebugStats }},
+	{"debug_top", "GET /v1/debug/top", func(s *Server) func(http.ResponseWriter, *http.Request) error { return s.handleDebugTop }},
 }
 
-// deprecated wraps a pre-session alias route: the handler behaves exactly
-// like its sessionized successor against the default session, and the
-// response advertises the deprecation (RFC 8594-style header) so clients
-// can migrate without breaking.
-func (s *Server) deprecated(h func(http.ResponseWriter, *http.Request) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		w.Header().Set("Deprecation", "true")
-		return h(w, r)
-	}
-}
-
-// sessionLabel resolves the {session} path element, defaulting the
-// pre-session alias routes to the configured default session.
+// sessionLabel resolves and validates the {session} path element.
 func (s *Server) sessionLabel(r *http.Request) (string, error) {
 	label := r.PathValue("session")
-	if label == "" {
-		return s.cfg.WALSession, nil
-	}
 	if err := validSessionLabel(label); err != nil {
 		return "", err
 	}
@@ -343,8 +317,8 @@ func readProgram(r *http.Request, maxBytes int64) (string, error) {
 // session's binder resolves first (sessions partition the SCL namespace);
 // the solver-wide name index is a fallback for the default session only,
 // so variables minted outside any session — embedders driving the solver
-// directly — stay reachable through the legacy routes without leaking one
-// session's names into another's.
+// directly — stay reachable through the default session's routes without
+// leaking one session's names into another's.
 func (s *Server) query(r *http.Request) (*polce.Snapshot, *polce.Var, error) {
 	label, err := s.sessionLabel(r)
 	if err != nil {

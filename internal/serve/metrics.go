@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"polce"
 	"polce/internal/telemetry"
 )
 
@@ -174,25 +173,8 @@ func newQueueMetrics(reg *telemetry.Registry, s *Server) *queueMetrics {
 			}
 			return 0
 		})
-	// Storage-backend gauges: the solver's StorageStats read is O(1)
-	// counters under the solver lock, cheap enough per scrape.
-	reg.GaugeFunc("polce_core_repr_csr", "1 when the solver uses the arena-backed CSR representation, 0 for hybrid",
-		func() float64 {
-			if s.solver.StorageStats().Repr == polce.ReprCSR.String() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("polce_core_arena_chunks", "edge-arena chunks currently allocated",
-		func() float64 { return float64(s.solver.StorageStats().Arena.Chunks) })
-	reg.GaugeFunc("polce_core_arena_handed_out", "arena elements handed out since the last compaction",
-		func() float64 { return float64(s.solver.StorageStats().Arena.HandedOut) })
-	reg.GaugeFunc("polce_core_arena_retired", "arena elements retired (garbage) since the last compaction",
-		func() float64 { return float64(s.solver.StorageStats().Arena.Retired) })
-	reg.GaugeFunc("polce_core_arena_compactions", "arena compactions performed so far",
-		func() float64 { return float64(s.solver.StorageStats().Arena.Compactions) })
-	reg.GaugeFunc("polce_core_arena_epoch", "arena placement epoch (advances at each compaction)",
-		func() float64 { return float64(s.solver.StorageStats().Arena.Epoch) })
+	// Drain-shape gauges: the solver's StorageStats read is O(1) counters
+	// under the solver lock, cheap enough per scrape.
 	reg.GaugeFunc("polce_core_worklist_hwm", "high-water mark of the closure worklist",
 		func() float64 { return float64(s.solver.StorageStats().WorklistHWM) })
 	reg.GaugeFunc("polce_core_delta_ranges", "term-set range entries pushed by the closure drain loop",

@@ -54,7 +54,7 @@ func TestRequestSpansLinked(t *testing.T) {
 	_, hs := newTestServer(t, cfg)
 
 	const writeID = "deadbeefdeadbeef"
-	req, _ := http.NewRequest("POST", hs.URL+"/v1/constraints?wait=1",
+	req, _ := http.NewRequest("POST", hs.URL+"/v1/constraints/default?wait=1",
 		strings.NewReader("cons a; cons ref(+)\na <= X; X <= Y; Y <= X; ref(X) <= P"))
 	req.Header.Set("X-Request-Id", writeID)
 	resp, err := http.DefaultClient.Do(req)
@@ -69,7 +69,7 @@ func TestRequestSpansLinked(t *testing.T) {
 		t.Fatalf("X-Request-Id echoed %q, want %q", got, writeID)
 	}
 
-	readResp, err := http.Get(hs.URL + "/v1/points-to/Y")
+	readResp, err := http.Get(hs.URL + "/v1/points-to/default/Y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if resp, body := postSCL(t, hs.URL, "cons a\na <= X; X <= Y", true); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest = %d %v", resp.StatusCode, body)
 	}
-	if resp, _ := getJSON(t, hs.URL+"/v1/points-to/Y"); resp.StatusCode != http.StatusOK {
+	if resp, _ := getJSON(t, hs.URL+"/v1/points-to/default/Y"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("read status = %d", resp.StatusCode)
 	}
 
@@ -339,7 +339,7 @@ func TestDebugEndpointsRaceIngestion(t *testing.T) {
 		defer stop.Store(true)
 		for i := 1; i <= 30; i++ {
 			prog := fmt.Sprintf("cons a%d\na%d <= v%d; v%d <= v%d; v%d <= v%d", i, i, i, i-1, i, i, i-1)
-			resp, err := http.Post(hs.URL+"/v1/constraints?wait=1", "text/plain", strings.NewReader(prog))
+			resp, err := http.Post(hs.URL+"/v1/constraints/default?wait=1", "text/plain", strings.NewReader(prog))
 			if err != nil {
 				t.Errorf("writer: %v", err)
 				return

@@ -49,7 +49,7 @@ func TestConcurrentQueriesRaceIngestion(t *testing.T) {
 		defer stop.Store(true)
 		for i := 1; i <= batches; i++ {
 			prog := fmt.Sprintf("cons a%d\na%d <= v%d; v%d <= v%d", i, i, i, i-1, i)
-			resp, err := http.Post(hs.URL+"/v1/constraints?wait=1", "text/plain", strings.NewReader(prog))
+			resp, err := http.Post(hs.URL+"/v1/constraints/default?wait=1", "text/plain", strings.NewReader(prog))
 			if err != nil {
 				t.Errorf("writer: %v", err)
 				return
@@ -73,11 +73,11 @@ func TestConcurrentQueriesRaceIngestion(t *testing.T) {
 				var resp *http.Response
 				switch queries.Add(1) % 3 {
 				case 0:
-					resp, body = getJSON(t, hs.URL+"/v1/snapshot")
+					resp, body = getJSON(t, hs.URL+"/v1/snapshot/default")
 				case 1:
-					resp, body = getJSON(t, hs.URL+"/v1/least-solution/v0")
+					resp, body = getJSON(t, hs.URL+"/v1/least-solution/default/v0")
 				default:
-					resp, body = getJSON(t, hs.URL+"/v1/points-to/v0")
+					resp, body = getJSON(t, hs.URL+"/v1/points-to/default/v0")
 				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("reader %d: status %d body %v", r, resp.StatusCode, body)
@@ -95,7 +95,7 @@ func TestConcurrentQueriesRaceIngestion(t *testing.T) {
 	wg.Wait()
 
 	// The final least solution of the chain head holds every atom.
-	resp, body := getJSON(t, hs.URL+fmt.Sprintf("/v1/least-solution/v%d", batches))
+	resp, body := getJSON(t, hs.URL+fmt.Sprintf("/v1/least-solution/default/v%d", batches))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("final query = %d %v", resp.StatusCode, body)
 	}
@@ -123,7 +123,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Load the queue: async batches first, then one synchronous request
 	// that is necessarily still in flight until the whole queue drains.
 	post := func(prog, query string) (*http.Response, error) {
-		return http.Post(base+"/v1/constraints"+query, "text/plain", strings.NewReader(prog))
+		return http.Post(base+"/v1/constraints/default"+query, "text/plain", strings.NewReader(prog))
 	}
 	if resp, err := post("cons a\na <= seed", "?wait=1"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v %v", err, resp)

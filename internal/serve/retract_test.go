@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"polce"
+	"polce/internal/telemetry"
 )
 
 // retractableConfig returns a Config whose solver tracks batches, so DELETE
@@ -41,13 +43,16 @@ func doReq(t *testing.T, method, url string, body string) (*http.Response, map[s
 }
 
 // TestRouteTable walks the declared routing surface: every row is reachable
-// through real HTTP (routed — not the mux's bare 404), every row's metrics
-// label is a registered route name, and exactly the alias rows answer with
-// the Deprecation header.
+// through real HTTP (routed — not the mux's bare 404) and every row's
+// metrics label is a registered route name. The pre-session paths are not
+// routes: each answers the catch-all's 404 and counts under "other".
 func TestRouteTable(t *testing.T) {
-	_, hs := newTestServer(t, retractableConfig())
+	cfg := retractableConfig()
+	reg := telemetry.NewRegistry()
+	cfg.Registry = reg
+	_, hs := newTestServer(t, cfg)
 
-	// Seed both the default session (for the alias rows) and a named one.
+	// Seed both the default session and a named one.
 	if resp, body := postSCL(t, hs.URL, "cons a\na <= X", true); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed default session = %d %v", resp.StatusCode, body)
 	}
@@ -74,11 +79,27 @@ func TestRouteTable(t *testing.T) {
 		resp, body := doReq(t, method, hs.URL+path, "")
 		if resp.StatusCode == http.StatusNotFound && body["kind"] == "not_found" {
 			t.Errorf("%s %s fell through to the catch-all", method, path)
-			continue
 		}
-		if dep := resp.Header.Get("Deprecation"); (dep == "true") != rt.deprecated {
-			t.Errorf("%s %s Deprecation header = %q, want deprecated=%v", method, path, dep, rt.deprecated)
+	}
+
+	removed := []struct{ method, path, body string }{
+		{"POST", "/v1/constraints?wait=1", "a <= Y"},
+		{"GET", "/v1/snapshot", ""},
+		{"GET", "/v1/least-solution/X", ""},
+		{"GET", "/v1/points-to/X", ""},
+	}
+	for _, r := range removed {
+		resp, body := doReq(t, r.method, hs.URL+r.path, r.body)
+		if resp.StatusCode != http.StatusNotFound || body["kind"] != "not_found" {
+			t.Errorf("%s %s = %d %v, want the catch-all's 404 not_found", r.method, r.path, resp.StatusCode, body)
 		}
+	}
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("polce_http_requests_other_4xx %d", len(removed)); !strings.Contains(out.String(), want) {
+		t.Errorf("metrics missing %q:\n%s", want, out.String())
 	}
 }
 
@@ -146,7 +167,7 @@ func TestRetractHTTP(t *testing.T) {
 	}
 	drop := uint64(body["batch"].(float64))
 
-	if _, body = getJSON(t, hs.URL+"/v1/least-solution/Y"); fmt.Sprint(body["terms"]) != "[a b]" {
+	if _, body = getJSON(t, hs.URL+"/v1/least-solution/default/Y"); fmt.Sprint(body["terms"]) != "[a b]" {
 		t.Fatalf("LS(Y) before retract = %v", body["terms"])
 	}
 
@@ -160,10 +181,10 @@ func TestRetractHTTP(t *testing.T) {
 	}
 
 	// Y lost its only justification; X keeps a from the surviving batch.
-	if _, body = getJSON(t, hs.URL+"/v1/least-solution/Y"); len(body["terms"].([]any)) != 0 {
+	if _, body = getJSON(t, hs.URL+"/v1/least-solution/default/Y"); len(body["terms"].([]any)) != 0 {
 		t.Fatalf("LS(Y) after retract = %v, want empty", body["terms"])
 	}
-	if _, body = getJSON(t, hs.URL+"/v1/least-solution/X"); fmt.Sprint(body["terms"]) != "[a]" {
+	if _, body = getJSON(t, hs.URL+"/v1/least-solution/default/X"); fmt.Sprint(body["terms"]) != "[a]" {
 		t.Fatalf("LS(X) after retract = %v, want [a]", body["terms"])
 	}
 
@@ -178,7 +199,7 @@ func TestRetractHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound || body["kind"] != "unknown_batch" {
 		t.Fatalf("cross-session DELETE = %d %v", resp.StatusCode, body)
 	}
-	if _, body = getJSON(t, hs.URL+"/v1/least-solution/X"); fmt.Sprint(body["terms"]) != "[a]" {
+	if _, body = getJSON(t, hs.URL+"/v1/least-solution/default/X"); fmt.Sprint(body["terms"]) != "[a]" {
 		t.Fatalf("failed DELETE mutated state: LS(X) = %v", body["terms"])
 	}
 
@@ -212,7 +233,7 @@ func TestConditionalGET(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	postSCL(t, hs.URL, "cons a\na <= X", true)
 
-	for _, path := range []string{"/v1/snapshot", "/v1/least-solution/X", "/v1/points-to/X"} {
+	for _, path := range []string{"/v1/snapshot/default", "/v1/least-solution/default/X", "/v1/points-to/default/X"} {
 		resp, _ := getJSON(t, hs.URL+path)
 		etag := resp.Header.Get("ETag")
 		if etag == "" {
@@ -251,10 +272,10 @@ func TestConditionalGET(t *testing.T) {
 	}
 
 	// Mutating the graph moves the version, so the old tag misses.
-	resp, _ := getJSON(t, hs.URL+"/v1/snapshot")
+	resp, _ := getJSON(t, hs.URL+"/v1/snapshot/default")
 	old := resp.Header.Get("ETag")
 	postSCL(t, hs.URL, "a <= Y", true)
-	req, _ := http.NewRequest("GET", hs.URL+"/v1/snapshot", nil)
+	req, _ := http.NewRequest("GET", hs.URL+"/v1/snapshot/default", nil)
 	req.Header.Set("If-None-Match", old)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -314,11 +335,11 @@ func TestRetractionHammer(t *testing.T) {
 					return
 				default:
 				}
-				if resp, _ := getJSON(t, hs.URL+"/v1/snapshot"); resp.StatusCode != http.StatusOK {
+				if resp, _ := getJSON(t, hs.URL+"/v1/snapshot/default"); resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("reader: snapshot = %d", resp.StatusCode)
 					return
 				}
-				if resp, _ := getJSON(t, hs.URL+"/v1/least-solution/K"); resp.StatusCode != http.StatusOK {
+				if resp, _ := getJSON(t, hs.URL+"/v1/least-solution/default/K"); resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("reader: least-solution = %d", resp.StatusCode)
 					return
 				}
@@ -333,11 +354,11 @@ func TestRetractionHammer(t *testing.T) {
 		t.Error(err)
 	}
 
-	_, body := getJSON(t, hs.URL+"/v1/least-solution/K")
+	_, body := getJSON(t, hs.URL+"/v1/least-solution/default/K")
 	if fmt.Sprint(body["terms"]) != "[keep]" {
 		t.Fatalf("LS(K) after hammer = %v, want only the seeded fact", body["terms"])
 	}
-	_, body = getJSON(t, hs.URL+"/v1/snapshot")
+	_, body = getJSON(t, hs.URL+"/v1/snapshot/default")
 	if body["batches"].(float64) != 1 {
 		t.Fatalf("live batches after hammer = %v, want 1 (the seed)", body["batches"])
 	}

@@ -23,11 +23,12 @@
 //	GET    /v1/snapshot/{session}             graph version, solver stats, queue state
 //	GET    /v1/healthz                        liveness and queue occupancy
 //
-// The pre-session routes (POST /v1/constraints, GET /v1/points-to/{var},
-// GET /v1/least-solution/{var}, GET /v1/snapshot) remain as deprecated
-// aliases of the default session and answer with a Deprecation header.
-// Snapshot and least-solution responses carry a strong ETag derived from
-// the monotone graph version; an If-None-Match hit short-circuits to 304.
+// A path without a session is not routed and answers 404. The default
+// session (Config.WALSession, "default" unless set) also resolves
+// variables created outside any session, by embedders driving the solver
+// directly. Snapshot and least-solution responses carry a strong ETag
+// derived from the monotone graph version; an If-None-Match hit
+// short-circuits to 304.
 //
 // Error mapping is table-driven (see StatusOf): inconsistent constraint
 // systems report 409, a full ingestion queue 503, a closed (drained)

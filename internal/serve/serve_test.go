@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postSCL(t *testing.T, base, program string, wait bool) (*http.Response, map[string]any) {
 	t.Helper()
-	url := base + "/v1/constraints"
+	url := base + "/v1/constraints/default"
 	if wait {
 		url += "?wait=1"
 	}
@@ -78,7 +78,7 @@ func TestAPIRoundTrip(t *testing.T) {
 		t.Fatalf("applied = %v", body["applied"])
 	}
 
-	resp, body = getJSON(t, hs.URL+"/v1/least-solution/Y")
+	resp, body = getJSON(t, hs.URL+"/v1/least-solution/default/Y")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("least-solution status = %d", resp.StatusCode)
 	}
@@ -87,7 +87,7 @@ func TestAPIRoundTrip(t *testing.T) {
 	}
 
 	// P's least solution is {ref(X)}: points-to projects the first argument.
-	resp, body = getJSON(t, hs.URL+"/v1/points-to/P")
+	resp, body = getJSON(t, hs.URL+"/v1/points-to/default/P")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("points-to status = %d", resp.StatusCode)
 	}
@@ -95,11 +95,11 @@ func TestAPIRoundTrip(t *testing.T) {
 		t.Fatalf("points-to(P) = %v", body["points_to"])
 	}
 	// X's own points-to view names the nullary constructor.
-	if _, body = getJSON(t, hs.URL+"/v1/points-to/X"); fmt.Sprint(body["points_to"]) != "[a]" {
+	if _, body = getJSON(t, hs.URL+"/v1/points-to/default/X"); fmt.Sprint(body["points_to"]) != "[a]" {
 		t.Fatalf("points-to(X) = %v", body["points_to"])
 	}
 
-	resp, body = getJSON(t, hs.URL+"/v1/snapshot")
+	resp, body = getJSON(t, hs.URL+"/v1/snapshot/default")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot status = %d", resp.StatusCode)
 	}
@@ -127,7 +127,7 @@ func TestAsyncIngestIsEventuallyVisible(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, body = getJSON(t, hs.URL+"/v1/least-solution/X")
+		resp, body = getJSON(t, hs.URL+"/v1/least-solution/default/X")
 		if resp.StatusCode == http.StatusOK && fmt.Sprint(body["terms"]) == "[a]" {
 			return
 		}
@@ -142,7 +142,7 @@ func TestAsyncIngestIsEventuallyVisible(t *testing.T) {
 func TestJSONBody(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	req := `{"program": "cons a; a <= X"}`
-	resp, err := http.Post(hs.URL+"/v1/constraints?wait=1", "application/json", strings.NewReader(req))
+	resp, err := http.Post(hs.URL+"/v1/constraints/default?wait=1", "application/json", strings.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// 404: unknown variable.
-	resp, body = getJSON(t, hs.URL+"/v1/least-solution/nope")
+	resp, body = getJSON(t, hs.URL+"/v1/least-solution/default/nope")
 	if resp.StatusCode != http.StatusNotFound || body["kind"] != "unknown_var" {
 		t.Fatalf("unknown var = %d %v", resp.StatusCode, body)
 	}
@@ -221,7 +221,7 @@ func TestBoundedStaleness(t *testing.T) {
 
 	_, body := postSCL(t, hs.URL, "cons a\na <= X", true)
 	v1 := body["version"].(float64)
-	if resp, body := getJSON(t, hs.URL+"/v1/snapshot"); resp.StatusCode != http.StatusOK || body["version"].(float64) != v1 {
+	if resp, body := getJSON(t, hs.URL+"/v1/snapshot/default"); resp.StatusCode != http.StatusOK || body["version"].(float64) != v1 {
 		t.Fatalf("first read = %d %v, want version %v", resp.StatusCode, body, v1)
 	}
 
@@ -231,12 +231,12 @@ func TestBoundedStaleness(t *testing.T) {
 	if v2 := body["version"].(float64); v2 <= v1 {
 		t.Fatalf("ingestion did not move the version: %v -> %v", v1, v2)
 	}
-	if _, body := getJSON(t, hs.URL+"/v1/snapshot"); body["version"].(float64) != v1 {
+	if _, body := getJSON(t, hs.URL+"/v1/snapshot/default"); body["version"].(float64) != v1 {
 		t.Fatalf("stale read version = %v, want cached %v", body["version"], v1)
 	}
 	// Y exists in the session but postdates the cached capture: its least
 	// solution reads as empty until the window lapses.
-	if resp, body := getJSON(t, hs.URL+"/v1/least-solution/Y"); resp.StatusCode != http.StatusOK || len(body["terms"].([]any)) != 0 {
+	if resp, body := getJSON(t, hs.URL+"/v1/least-solution/default/Y"); resp.StatusCode != http.StatusOK || len(body["terms"].([]any)) != 0 {
 		t.Fatalf("stale LS(Y) = %d %v, want empty", resp.StatusCode, body)
 	}
 }
@@ -278,8 +278,8 @@ func TestRouteMetrics(t *testing.T) {
 	_, hs := newTestServer(t, Config{Registry: reg})
 
 	postSCL(t, hs.URL, "cons a\na <= X", true)
-	getJSON(t, hs.URL+"/v1/least-solution/X")
-	getJSON(t, hs.URL+"/v1/least-solution/missing") // a 4xx
+	getJSON(t, hs.URL+"/v1/least-solution/default/X")
+	getJSON(t, hs.URL+"/v1/least-solution/default/missing") // a 4xx
 
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {

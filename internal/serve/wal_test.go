@@ -189,7 +189,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 	hsB := httptest.NewServer(srvB.Handler())
 	defer hsB.Close()
-	if resp, body := getJSON(t, hsB.URL+"/v1/least-solution/V0"); resp.StatusCode != http.StatusOK || len(body["terms"].([]any)) == 0 {
+	if resp, body := getJSON(t, hsB.URL+"/v1/least-solution/default/V0"); resp.StatusCode != http.StatusOK || len(body["terms"].([]any)) == 0 {
 		t.Fatalf("LS(V0) after recovery = %d %v", resp.StatusCode, body)
 	}
 	recovered := walreplay.Fingerprint(srvB.solver, 32)
@@ -296,7 +296,7 @@ func TestWALFailurePoisonsIngestion(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || body["kind"] != "wal_failed" {
 		t.Fatalf("poisoned ingest = %d %v, want 500 wal_failed", resp.StatusCode, body)
 	}
-	if resp, _ := getJSON(t, hs.URL+"/v1/least-solution/X"); resp.StatusCode != http.StatusOK {
+	if resp, _ := getJSON(t, hs.URL+"/v1/least-solution/default/X"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("read during poisoning = %d, want 200", resp.StatusCode)
 	}
 }
@@ -381,10 +381,10 @@ func TestWALRecoverWithRetractions(t *testing.T) {
 	// chain batch is gone, the surviving justification stands.
 	hsB := httptest.NewServer(srvB.Handler())
 	defer hsB.Close()
-	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/V1"); len(body["terms"].([]any)) != 0 {
+	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/default/V1"); len(body["terms"].([]any)) != 0 {
 		t.Fatalf("LS(V1) after recovery = %v, want empty (retracted)", body["terms"])
 	}
-	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/V0"); fmt.Sprint(body["terms"]) != "[b]" {
+	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/default/V0"); fmt.Sprint(body["terms"]) != "[b]" {
 		t.Fatalf("LS(V0) after recovery = %v, want [b]", body["terms"])
 	}
 	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/aux/W"); fmt.Sprint(body["terms"]) != "[c]" {
@@ -400,7 +400,7 @@ func TestWALRecoverWithRetractions(t *testing.T) {
 	if resp, body := doReq(t, "DELETE", fmt.Sprintf("%s/v1/constraints/default/%d", hsC.URL, keep), ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reference DELETE = %d %v", resp.StatusCode, body)
 	}
-	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/V0"); len(body["terms"].([]any)) != 0 {
+	if _, body := getJSON(t, hsB.URL+"/v1/least-solution/default/V0"); len(body["terms"].([]any)) != 0 {
 		t.Fatalf("LS(V0) after post-recovery retraction = %v, want empty", body["terms"])
 	}
 	if diffs := walreplay.Fingerprint(srvB.solver, 32).Diff(walreplay.Fingerprint(srvC.solver, 32)); len(diffs) != 0 {

@@ -153,8 +153,7 @@ func (sn *Snapshot) Graph() GraphStats { return sn.graph }
 // LSCache returns the least-solution cache state as of the snapshot.
 func (sn *Snapshot) LSCache() LSCacheState { return sn.lsCache }
 
-// Storage returns the storage-backend state (representation name, arena
-// edge blocks, drain-worklist shape) as of the snapshot.
+// Storage returns the drain-worklist shape as of the snapshot.
 func (sn *Snapshot) Storage() StorageStats { return sn.storage }
 
 // CollapsedClasses returns the sizes of the equivalence classes that cycle

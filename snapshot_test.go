@@ -180,6 +180,121 @@ func TestSnapshotConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestCSRSnapshotsDuringCompaction races concurrent snapshot readers
+// against heavy ingestion whose cycle collapses release the absorbed
+// variables' set storage at the end of each drain, and whose offline pass
+// compacts the live variable list. Snapshots must stay isolated from
+// both: a retained snapshot's least solutions are frozen, live readers
+// see monotone versions, and under -race the whole
+// capture/read/collapse interleaving must be clean. The name is kept
+// from when the test raced arena (CSR) compaction, so its id stays
+// stable across commits.
+func TestCSRSnapshotsDuringCompaction(t *testing.T) {
+	for _, form := range []polce.Form{polce.SF, polce.IF} {
+		t.Run(form.String(), func(t *testing.T) {
+			s := polce.New(polce.Options{Form: form, Cycles: polce.CycleOnline, Seed: 29})
+			const (
+				nVars    = 1000
+				blockLen = 100 // vars per collapsed cycle block
+			)
+			a := atoms(128)
+			vars := make([]*polce.Var, nVars)
+			for i := range vars {
+				vars[i] = s.Fresh(fmt.Sprintf("v%d", i))
+			}
+			// Seed every variable with sources so the collapses below
+			// release real term-set storage, then take the snapshot whose
+			// stability across them the test asserts.
+			rng := rand.New(rand.NewSource(31))
+			for i := range vars {
+				for j := 0; j < 20; j++ {
+					s.AddConstraint(a[rng.Intn(len(a))], vars[i])
+				}
+			}
+			early := s.Snapshot()
+			frozen := make([][]string, len(vars))
+			for i, v := range vars {
+				frozen[i] = lsNames(early.LeastSolution(v))
+			}
+
+			done := make(chan struct{})
+			errc := make(chan error, 8)
+			var wg sync.WaitGroup
+
+			wg.Add(1)
+			go func() { // ingestion: edges plus block cycles that collapse
+				defer wg.Done()
+				defer close(done)
+				for base := 0; base+blockLen <= nVars; base += blockLen {
+					batch := make([]polce.Constraint, 0, blockLen+1)
+					for i := 0; i < blockLen-1; i++ {
+						batch = append(batch, polce.Constraint{
+							L: vars[base+i], R: vars[base+i+1]})
+					}
+					// Close the block into a cycle: one collapse of
+					// blockLen variables, releasing their set storage.
+					batch = append(batch, polce.Constraint{
+						L: vars[base+blockLen-1], R: vars[base]})
+					s.AddBatch(batch)
+				}
+				// Second wave: ring the block witnesses together, collapsing
+				// the merged (much larger) term sets too.
+				for base := 0; base < nVars; base += blockLen {
+					s.AddConstraint(vars[base], vars[(base+blockLen)%nVars])
+				}
+				// Online elimination is partial by design; the offline pass
+				// collapses the cycles it missed and compacts the live list.
+				s.CollapseCycles()
+			}()
+
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) { // readers
+					defer wg.Done()
+					var lastVersion uint64
+					rng := rand.New(rand.NewSource(int64(100 + r)))
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						snap := s.Snapshot()
+						if v := snap.Version(); v < lastVersion {
+							errc <- fmt.Errorf("reader %d: version went backwards: %d then %d", r, lastVersion, v)
+							return
+						} else {
+							lastVersion = v
+						}
+						for j := 0; j < 20; j++ {
+							_ = snap.LeastSolution(vars[rng.Intn(nVars)])
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+
+			// The retained snapshot must be bit-for-bit what it was before
+			// any collapse or compaction ran.
+			for i, v := range vars {
+				if got := lsNames(early.LeastSolution(v)); fmt.Sprint(got) != fmt.Sprint(frozen[i]) {
+					t.Fatalf("%v: early snapshot LS(v%d) drifted:\nbefore %v\nafter  %v", form, i, frozen[i], got)
+				}
+			}
+			// Every variable lies on one strongly connected component, so
+			// all but one must have been merged away and released; without
+			// this the test would not exercise release under readers.
+			if got := s.Stats().VarsEliminated; got != nVars-1 {
+				t.Fatalf("%d variables eliminated, want %d", got, nVars-1)
+			}
+		})
+	}
+}
+
 // TestSnapshotIntrospection checks the debug-surface data captured with a
 // snapshot: graph stats, collapsed-class sizes, LS cache state and the
 // top-k ranking — all answered from the frozen capture, so an old

@@ -250,25 +250,12 @@ func (s *Solver) Stats() Stats {
 	return s.sys.Stats()
 }
 
-// StorageStats reports the storage backend in use (hybrid or CSR), the
-// arena's edge-block state and the drain worklist's shape. The
-// counters are O(1) reads, so this is cheap enough for metric scrapes.
+// StorageStats reports the drain worklist's shape. The counters are O(1)
+// reads, so this is cheap enough for metric scrapes.
 func (s *Solver) StorageStats() StorageStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sys.StorageStats()
-}
-
-// BuildVEClosure materialises a closed-world least-solution table by
-// vertex elimination over the current (collapsed) inclusion graph; see
-// core.VEClosure. The build holds the solver's lock; the returned closure
-// is immutable and lock-free to query, like a Snapshot, but reflects only
-// constraints added before the call (compare Version against
-// Solver.Version to detect staleness).
-func (s *Solver) BuildVEClosure(ord VEOrder) *VEClosure {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sys.BuildVEClosure(ord)
 }
 
 // Errors returns the retained inconsistency errors. Every returned error

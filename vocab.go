@@ -33,20 +33,8 @@ type (
 	// RetractReport describes one RetractBatch pass: batches retracted,
 	// dirty cone rolled back, survivors replayed; see core.RetractReport.
 	RetractReport = core.RetractReport
-	// StorageRepr selects the adjacency storage representation (hybrid or
-	// arena-backed CSR); see Options.Repr.
-	StorageRepr = core.StorageRepr
-	// StorageStats reports the storage backend and drain-shape counters.
+	// StorageStats reports the drain-shape counters.
 	StorageStats = core.StorageStats
-	// ArenaStats describes the flat-memory (CSR) storage backend.
-	ArenaStats = core.ArenaStats
-	// VEClosure is an immutable closed-world least-solution table built by
-	// vertex elimination; see Solver.BuildVEClosure.
-	VEClosure = core.VEClosure
-	// VEOrder selects the elimination order of a VEClosure build.
-	VEOrder = core.VEOrder
-	// VEStats describes the shape of a built VEClosure.
-	VEStats = core.VEStats
 	// Event is one solver occurrence, delivered to Options.Observer.
 	Event = core.Event
 	// EventKind classifies solver events.
@@ -89,14 +77,6 @@ const (
 	OrderCreation        = core.OrderCreation
 	OrderReverseCreation = core.OrderReverseCreation
 
-	// ReprHybrid and ReprCSR are the adjacency storage representations.
-	ReprHybrid = core.ReprHybrid
-	ReprCSR    = core.ReprCSR
-
-	// VEOrderMinDegree and VEOrderTotal are the vertex-elimination orders.
-	VEOrderMinDegree = core.VEOrderMinDegree
-	VEOrderTotal     = core.VEOrderTotal
-
 	// Covariant and Contravariant are the constructor argument variances.
 	Covariant     = core.Covariant
 	Contravariant = core.Contravariant
@@ -133,9 +113,6 @@ func NewUnion(exprs ...Expr) *Union { return core.NewUnion(exprs...) }
 func NewIntersection(exprs ...Expr) *Intersection {
 	return core.NewIntersection(exprs...)
 }
-
-// ParseRepr parses a -repr flag value ("hybrid" or "csr").
-func ParseRepr(s string) (StorageRepr, error) { return core.ParseRepr(s) }
 
 // ResolveLSWorkers resolves an Options.LSWorkers setting to the effective
 // least-solution pool size (<= 0 → GOMAXPROCS).
