@@ -11,14 +11,14 @@
 //	polce-bench -bench li           # a single benchmark
 //	polce-bench -ablation -figure 11  # include the SF increasing-chain ablation
 //	polce-bench -metrics -bench li    # phase timings + search-depth p50/p90/max
-//	polce-bench -serve-load           # load-test the HTTP service (self-hosted)
-//	polce-bench -serve-load -serve-addr localhost:8080  # against a live polce-serve
-//	polce-bench -serve-load -serve-conditional  # readers re-poll with If-None-Match, report the 304 ratio
-//	polce-bench -retract -retract-frac 0.10   # retraction benchmark: dirty-cone size + from-scratch equivalence
+//	polce-bench -parallel -max-ast 3000  # the deterministic grid on a worker pool
+//	polce-bench -ls-verify -ls-workers 4  # parallel least-solution pass vs sequential
 //	polce-bench -wal-verify /var/lib/polce/wal  # replay a constraint log, check it against its manifest
 //
 // The benchmark programs are synthetic stand-ins generated at the paper's
-// Table 1 scales; see DESIGN.md for the substitution argument.
+// Table 1 scales; see DESIGN.md for the substitution argument. Timing
+// claims for the solver, retraction and the HTTP service go through
+// cmd/polce-benchmark, whose workloads check their own results.
 package main
 
 import (
@@ -69,20 +69,6 @@ func main() {
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
 		lsVerify  = flag.Bool("ls-verify", false, "verify the parallel least-solution pass is bit-identical to the sequential one on every benchmark")
 
-		serveLoad     = flag.Bool("serve-load", false, "load-test the HTTP service: N readers race an ingestion writer, report p50/p99 latency and QPS")
-		serveAddr     = flag.String("serve-addr", "", "target an already-running polce-serve (host:port); empty self-hosts one in-process")
-		serveReaders  = flag.Int("serve-readers", 8, "concurrent query goroutines for -serve-load")
-		serveDuration = flag.Duration("serve-duration", 3*time.Second, "read-phase duration for -serve-load")
-		serveBatch    = flag.Int("serve-batch", 32, "constraints per ingestion POST for -serve-load")
-		serveMinQ     = flag.Int("serve-min-queries", 10000, "keep querying past -serve-duration until this many queries completed (negative disables)")
-		serveTrace    = flag.String("serve-trace", "", "write request spans of the self-hosted -serve-load run to this NDJSON file and report the queue-wait vs solve breakdown")
-		serveCond     = flag.Bool("serve-conditional", false, "readers re-poll with If-None-Match and the report includes the 304 not-modified ratio")
-
-		retractRun      = flag.Bool("retract", false, "run the retraction benchmark: retract a fraction of batches, measure dirty-cone sizes, verify against a from-scratch solve of the survivors")
-		retractFrac     = flag.Float64("retract-frac", 0.10, "fraction of batches retracted for -retract")
-		retractClusters = flag.Int("retract-clusters", 64, "constraint batches (clusters) for -retract")
-		retractSize     = flag.Int("retract-cluster-size", 12, "variables per cluster for -retract")
-
 		walVerify   = flag.String("wal-verify", "", "replay this constraint-log directory standalone and check the recovered graph against its manifest (recording it on first run)")
 		walManifest = flag.String("wal-manifest", "", "manifest path for -wal-verify (default <dir>/manifest.json)")
 		walSamples  = flag.Int("wal-samples", 0, "least solutions sampled into the manifest for -wal-verify (0 = 64)")
@@ -103,36 +89,6 @@ func main() {
 			Dir:          *walVerify,
 			ManifestPath: *walManifest,
 			Samples:      *walSamples,
-		})
-		if err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if *serveLoad {
-		err := bench.RunServeLoad(os.Stdout, bench.ServeLoadOptions{
-			Addr:        *serveAddr,
-			Readers:     *serveReaders,
-			Duration:    *serveDuration,
-			Batch:       *serveBatch,
-			MinQueries:  *serveMinQ,
-			Seed:        *seed,
-			TracePath:   *serveTrace,
-			Conditional: *serveCond,
-		})
-		if err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if *retractRun {
-		err := bench.RunRetract(os.Stdout, bench.RetractOptions{
-			Clusters:    *retractClusters,
-			ClusterSize: *retractSize,
-			Frac:        *retractFrac,
-			Seed:        *seed,
 		})
 		if err != nil {
 			die(err)

@@ -22,8 +22,10 @@
 //
 // A client with no namespace of its own uses the session "default"
 // (/v1/constraints/default, ...); a path without a session answers 404.
-// Reads carry a graph-version ETag and honour If-None-Match with 304s, so
-// re-polling clients pay nothing while the graph is quiet.
+// Least-solution and points-to reads carry a graph-version ETag and honour
+// If-None-Match with 304s, so re-polling clients pay nothing while the
+// graph is quiet; the snapshot route's counters move between versions, so
+// it carries no ETag.
 //
 // Telemetry is always on: /metrics (Prometheus text), /metrics.json,
 // /debug/vars and /debug/pprof are served on the same address, with

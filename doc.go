@@ -28,9 +28,10 @@
 // and the snapshot-backed HTTP constraint service (internal/serve).
 //
 // Entry points: cmd/polce analyses one C file; cmd/polce-bench regenerates
-// the paper's tables, figures, ablations and diagnostics (and load-tests
-// the service with -serve-load); cmd/polce-solve runs the solver on .scl
-// constraint programs; cmd/polce-serve serves the solver as a JSON HTTP
-// API; the runnable examples under examples/ tour the API. The benchmarks
-// in bench_test.go exercise one table or figure each.
+// the paper's tables, figures, ablations and diagnostics; cmd/polce-solve
+// runs the solver on .scl constraint programs; cmd/polce-serve serves the
+// solver as a JSON HTTP API; cmd/polce-benchmark times four end-to-end
+// workloads, the service and retraction included. The runnable examples
+// under examples/ tour the API. The benchmarks in bench_test.go exercise
+// one table or figure each.
 package polce

@@ -540,7 +540,8 @@ func TestRetractablePeriodicPanics(t *testing.T) {
 
 // TestRetractConeLocality builds many disjoint clusters and retracts one
 // batch: the dirty cone must stay inside that cluster — measurably smaller
-// than the graph — and the retract counters must report it.
+// than the graph — and the retract counters must report it, summing the
+// cones over a second retraction.
 func TestRetractConeLocality(t *testing.T) {
 	const clusters, size = 20, 8
 	// The subtest names the storage layout, as retractCaseName's
@@ -580,6 +581,14 @@ func TestRetractConeLocality(t *testing.T) {
 		st := s.Stats()
 		if st.Retractions != 1 || st.RetractConeVars != int64(rep.DirtyVars) {
 			t.Errorf("stats = retracts %d cone %d, want 1/%d", st.Retractions, st.RetractConeVars, rep.DirtyVars)
+		}
+		rep2, err := s.RetractBatches([]uint64{ids[7]})
+		if err != nil {
+			t.Fatalf("second retract: %v", err)
+		}
+		st = s.Stats()
+		if want := int64(rep.DirtyVars + rep2.DirtyVars); st.Retractions != 2 || st.RetractConeVars != want {
+			t.Errorf("stats after two retractions = retracts %d cone %d, want 2/%d", st.Retractions, st.RetractConeVars, want)
 		}
 		// The retracted cluster's solutions are gone; neighbours keep theirs.
 		if got := len(s.LeastSolution(vars[3][size-1])); got != 0 {

@@ -410,7 +410,9 @@ func (s *Server) handlePointsTo(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleSnapshot reports the graph version, solver counters and queue
-// state — the service's dashboard endpoint.
+// state — the service's dashboard endpoint. It carries no ETag: sessions,
+// batches, queue length and the ingested and retracted counts change
+// without a graph-version bump, so a version tag would name two bodies.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	label, err := s.sessionLabel(r)
 	if err != nil {
@@ -419,12 +421,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	snap, err := s.snapshot(r.Context())
 	if err != nil {
 		return err
-	}
-	etag := etagOf(snap.Version())
-	w.Header().Set("ETag", etag)
-	if notModified(r, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return nil
 	}
 	sessionVars := 0
 	if ss, ok := s.sessions.peek(label); ok {

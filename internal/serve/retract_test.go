@@ -226,14 +226,15 @@ func TestRetractNotImplemented(t *testing.T) {
 	}
 }
 
-// TestConditionalGET pins the ETag contract: reads carry a version-derived
-// tag, If-None-Match on an unchanged graph is a 304 with no body, and a
-// mutation invalidates the tag.
+// TestConditionalGET pins the ETag contract: least-solution and points-to
+// reads carry a version-derived tag, If-None-Match on an unchanged graph is
+// a 304 with no body, and a mutation invalidates the tag. The snapshot
+// route carries no tag, because its counters move without a version bump.
 func TestConditionalGET(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	postSCL(t, hs.URL, "cons a\na <= X", true)
 
-	for _, path := range []string{"/v1/snapshot/default", "/v1/least-solution/default/X", "/v1/points-to/default/X"} {
+	for _, path := range []string{"/v1/least-solution/default/X", "/v1/points-to/default/X"} {
 		resp, _ := getJSON(t, hs.URL+path)
 		etag := resp.Header.Get("ETag")
 		if etag == "" {
@@ -271,17 +272,42 @@ func TestConditionalGET(t *testing.T) {
 		}
 	}
 
-	// Mutating the graph moves the version, so the old tag misses.
-	resp, _ := getJSON(t, hs.URL+"/v1/snapshot/default")
-	old := resp.Header.Get("ETag")
-	postSCL(t, hs.URL, "a <= Y", true)
+	// A second session and a duplicate edge move the snapshot's counters
+	// but not the graph version, so a version tag must not answer 304.
+	_, body := getJSON(t, hs.URL+"/v1/snapshot/default")
+	version := body["version"]
+	if resp, body := doReq(t, "POST", hs.URL+"/v1/constraints/beta?wait=1", "cons z"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("declaration-only batch = %d %v", resp.StatusCode, body)
+	}
+	postSCL(t, hs.URL, "a <= X", true)
 	req, _ := http.NewRequest("GET", hs.URL+"/v1/snapshot/default", nil)
-	req.Header.Set("If-None-Match", old)
+	req.Header.Set("If-None-Match", etagOf(uint64(version.(float64))))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := decodeBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("snapshot with a version tag = %d, want 200 (its counters moved)", resp.StatusCode)
+	}
+	if tag := resp.Header.Get("ETag"); tag != "" {
+		t.Errorf("snapshot ETag = %q, want none", tag)
+	}
+	body = decodeBody(t, resp)
+	if body["version"] != version || body["sessions"] != float64(2) {
+		t.Fatalf("snapshot = version %v sessions %v, want version %v and 2 sessions", body["version"], body["sessions"], version)
+	}
+
+	// Mutating the graph moves the version, so the old tag misses.
+	resp, _ = getJSON(t, hs.URL+"/v1/least-solution/default/X")
+	old := resp.Header.Get("ETag")
+	postSCL(t, hs.URL, "cons b\nb <= X", true)
+	req, _ = http.NewRequest("GET", hs.URL+"/v1/least-solution/default/X", nil)
+	req.Header.Set("If-None-Match", old)
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	body = decodeBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale tag = %d, want full 200", resp.StatusCode)
 	}

@@ -26,9 +26,10 @@
 // A path without a session is not routed and answers 404. The default
 // session (Config.WALSession, "default" unless set) also resolves
 // variables created outside any session, by embedders driving the solver
-// directly. Snapshot and least-solution responses carry a strong ETag
+// directly. Least-solution and points-to responses carry a strong ETag
 // derived from the monotone graph version; an If-None-Match hit
-// short-circuits to 304.
+// short-circuits to 304. The snapshot route carries none, because its
+// session, batch and queue counters move without a version bump.
 //
 // Error mapping is table-driven (see StatusOf): inconsistent constraint
 // systems report 409, a full ingestion queue 503, a closed (drained)
