@@ -12,7 +12,6 @@
 //	polce-bench -ablation -figure 11  # include the SF increasing-chain ablation
 //	polce-bench -metrics -bench li    # phase timings + search-depth p50/p90/max
 //	polce-bench -parallel -max-ast 3000  # the deterministic grid on a worker pool
-//	polce-bench -ls-verify -ls-workers 4  # parallel least-solution pass vs sequential
 //	polce-bench -wal-verify /var/lib/polce/wal  # replay a constraint log, check it against its manifest
 //
 // The benchmark programs are synthetic stand-ins generated at the paper's
@@ -46,28 +45,26 @@ func die(err error) {
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "regenerate one table (1-4)")
-		figure    = flag.Int("figure", 0, "regenerate one figure (7-11)")
-		modelSel  = flag.String("model", "", "evaluate the analytical model: thm51 or thm52")
-		all       = flag.Bool("all", false, "regenerate every table, figure and theorem")
-		maxAST    = flag.Int("max-ast", 20000, "largest benchmark (AST nodes) to include")
-		full      = flag.Bool("full", false, "run the full suite regardless of size (slow: the Plain runs are superlinear)")
-		benchSel  = flag.String("bench", "", "run a single named benchmark")
-		seed      = flag.Int64("seed", 1, "variable-order seed")
-		repeat    = flag.Int("repeat", 1, "timed repetitions per cell (best time kept; the paper used 3)")
-		ablation  = flag.Bool("ablation", false, "also run the ablations (increasing chains, periodic sweeps) and print the ablation table")
-		cfaExp    = flag.Bool("cfa", false, "run the future-work experiment: cycle elimination applied to closure analysis")
-		diag      = flag.Bool("diagnostics", false, "print the Section 5 premise measurements (densities, visits/search)")
-		orders    = flag.Bool("orders", false, "run the §2.4 order-choice ablation (random vs creation vs reverse)")
-		sweep     = flag.Bool("sweep", false, "run the scaling sweep (growth exponents of SF-Plain vs IF-Online)")
-		baseline  = flag.Bool("baseline", false, "compare Andersen against the Steensgaard unification baseline (time and precision)")
-		csvPath   = flag.String("csv", "", "also write the full measurement matrix as CSV to this file")
-		metrics   = flag.Bool("metrics", false, "record and print per-benchmark phase timings (solve/closure/least-solution) and search-depth p50/p90/max")
-		parallel  = flag.Bool("parallel", false, "run the experiment grid on the worker-pool runner (form × policy × order × seed across GOMAXPROCS workers)")
-		workers   = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		baseOut   = flag.String("baseline-out", "", "write the -parallel grid measurements as a JSON baseline to this file")
-		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
-		lsVerify  = flag.Bool("ls-verify", false, "verify the parallel least-solution pass is bit-identical to the sequential one on every benchmark")
+		table    = flag.Int("table", 0, "regenerate one table (1-4)")
+		figure   = flag.Int("figure", 0, "regenerate one figure (7-11)")
+		modelSel = flag.String("model", "", "evaluate the analytical model: thm51 or thm52")
+		all      = flag.Bool("all", false, "regenerate every table, figure and theorem")
+		maxAST   = flag.Int("max-ast", 20000, "largest benchmark (AST nodes) to include")
+		full     = flag.Bool("full", false, "run the full suite regardless of size (slow: the Plain runs are superlinear)")
+		benchSel = flag.String("bench", "", "run a single named benchmark")
+		seed     = flag.Int64("seed", 1, "variable-order seed")
+		repeat   = flag.Int("repeat", 1, "timed repetitions per cell (best time kept; the paper used 3)")
+		ablation = flag.Bool("ablation", false, "also run the ablations (increasing chains, periodic sweeps) and print the ablation table")
+		cfaExp   = flag.Bool("cfa", false, "run the future-work experiment: cycle elimination applied to closure analysis")
+		diag     = flag.Bool("diagnostics", false, "print the Section 5 premise measurements (densities, visits/search)")
+		orders   = flag.Bool("orders", false, "run the §2.4 order-choice ablation (random vs creation vs reverse)")
+		sweep    = flag.Bool("sweep", false, "run the scaling sweep (growth exponents of SF-Plain vs IF-Online)")
+		baseline = flag.Bool("baseline", false, "compare Andersen against the Steensgaard unification baseline (time and precision)")
+		csvPath  = flag.String("csv", "", "also write the full measurement matrix as CSV to this file")
+		metrics  = flag.Bool("metrics", false, "record and print per-benchmark phase timings (solve/closure/least-solution) and search-depth p50/p90/max")
+		parallel = flag.Bool("parallel", false, "run the experiment grid on the worker-pool runner (form × policy × order × seed across GOMAXPROCS workers)")
+		workers  = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+		baseOut  = flag.String("baseline-out", "", "write the -parallel grid measurements as a JSON baseline to this file")
 
 		walVerify   = flag.String("wal-verify", "", "replay this constraint-log directory standalone and check the recovered graph against its manifest (recording it on first run)")
 		walManifest = flag.String("wal-manifest", "", "manifest path for -wal-verify (default <dir>/manifest.json)")
@@ -91,21 +88,6 @@ func main() {
 			Samples:      *walSamples,
 		})
 		if err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if *lsVerify {
-		limit := *maxAST
-		if *full {
-			limit = 1 << 30
-		}
-		w := *lsWorkers
-		if w <= 1 {
-			w = 4
-		}
-		if err := bench.VerifyLeastSolutions(os.Stdout, bench.SuiteUpTo(limit), *seed, w); err != nil {
 			die(err)
 		}
 		return
@@ -195,7 +177,7 @@ func main() {
 	}
 
 	if *parallel || *baseOut != "" {
-		runParallelGrid(suite, exps, *seed, *workers, *repeat, *lsWorkers, *baseOut)
+		runParallelGrid(suite, exps, *seed, *workers, *repeat, *baseOut)
 	}
 
 	var results []*bench.Result
@@ -207,8 +189,7 @@ func main() {
 			Repeat: *repeat,
 			// Phase breakdowns and depth distributions feed the -metrics
 			// table and the CSV's phase/histogram-summary columns.
-			Phases:    *metrics || *csvPath != "",
-			LSWorkers: *lsWorkers,
+			Phases: *metrics || *csvPath != "",
 		})
 		if err != nil {
 			die(err)
@@ -314,7 +295,7 @@ func main() {
 // prints a per-cell summary; with baseOut it also writes the committed
 // baseline JSON (see BENCH_pr2.json). Each cell's seed is derived
 // deterministically from the base seed and the cell's coordinates.
-func runParallelGrid(suite []bench.Benchmark, expNames []string, seed int64, workers, repeat, lsWorkers int, baseOut string) {
+func runParallelGrid(suite []bench.Benchmark, expNames []string, seed int64, workers, repeat int, baseOut string) {
 	var exps []bench.Experiment
 	for _, name := range expNames {
 		if e, ok := bench.ExperimentByName(name); ok {
@@ -332,7 +313,7 @@ func runParallelGrid(suite []bench.Benchmark, expNames []string, seed int64, wor
 	for i := range cells {
 		cells[i].Seed = bench.CellSeed(seed, cells[i])
 	}
-	opt := bench.ParallelOptions{Workers: workers, Repeat: repeat, Phases: true, LSWorkers: lsWorkers}
+	opt := bench.ParallelOptions{Workers: workers, Repeat: repeat, Phases: true}
 	logger.Info("running grid", "cells", len(cells), "workers", effectiveWorkers(workers))
 	start := time.Now()
 	results := bench.RunParallel(cells, opt)

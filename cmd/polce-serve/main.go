@@ -72,12 +72,11 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		form      = flag.String("form", "if", "graph representation: sf or if")
-		cycles    = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
-		seed      = flag.Int64("seed", 1, "variable-order seed")
-		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS)")
-		retract   = flag.Bool("retractable", true, "track batch reasons so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		form    = flag.String("form", "if", "graph representation: sf or if")
+		cycles  = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
+		seed    = flag.Int64("seed", 1, "variable-order seed")
+		retract = flag.Bool("retractable", true, "track batch reasons so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
 
 		queueDepth   = flag.Int("queue", 64, "ingestion queue depth (batches)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline")
@@ -102,7 +101,7 @@ func main() {
 	}
 	logger = telemetry.NewLogger(os.Stderr, level)
 
-	opt := polce.Options{Seed: *seed, LSWorkers: *lsWorkers, Retractable: *retract}
+	opt := polce.Options{Seed: *seed, Retractable: *retract}
 	switch strings.ToLower(*form) {
 	case "sf":
 		opt.Form = polce.SF
@@ -209,7 +208,6 @@ func main() {
 	}()
 	logger.Info("serving",
 		"form", opt.Form.String(), "cycles", opt.Cycles.String(),
-		"ls_workers", polce.ResolveLSWorkers(*lsWorkers),
 		"retractable", *retract,
 		"addr", ln.Addr().String(), "queue", *queueDepth)
 

@@ -36,13 +36,12 @@ import (
 
 func main() {
 	var (
-		form      = flag.String("form", "if", "graph representation: sf or if")
-		cycles    = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
-		seed      = flag.Int64("seed", 1, "variable-order seed")
-		interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic")
-		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
-		stats     = flag.Bool("stats", false, "print solver statistics")
-		dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
+		form     = flag.String("form", "if", "graph representation: sf or if")
+		cycles   = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
+		seed     = flag.Int64("seed", 1, "variable-order seed")
+		interval = flag.Int("interval", 0, "sweep interval for -cycles periodic")
+		stats    = flag.Bool("stats", false, "print solver statistics")
+		dotOut   = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
 
 		metricsOut = flag.String("metrics-out", "", "write Prometheus-text solver metrics to this file at exit")
 		traceOut   = flag.String("trace-out", "", "stream solver events as NDJSON to this file (closing record carries the final stats)")
@@ -105,7 +104,7 @@ func main() {
 		fatal("%v", err)
 	}
 
-	opt := polce.Options{Seed: *seed, PeriodicInterval: *interval, LSWorkers: *lsWorkers}
+	opt := polce.Options{Seed: *seed, PeriodicInterval: *interval}
 	if sm != nil {
 		opt.Metrics = sm
 	}

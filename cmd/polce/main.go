@@ -57,7 +57,6 @@ func main() {
 		steensOpt = flag.Bool("steensgaard", false, "run the Steensgaard unification baseline instead")
 		gen       = flag.Int("gen", 0, "analyse a generated program of roughly N AST nodes instead of a file")
 		interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic (0 = default)")
-		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS, 1 = sequential)")
 		trace     = flag.Bool("trace", false, "print cycle collapses and sweeps as they happen")
 		dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
 		ptsDotOut = flag.String("pts-dot", "", "write the points-to graph as Graphviz DOT to this file")
@@ -140,7 +139,7 @@ func main() {
 		return
 	}
 
-	opts := andersen.Options{Seed: *seed, PeriodicInterval: *interval, LSWorkers: *lsWorkers}
+	opts := andersen.Options{Seed: *seed, PeriodicInterval: *interval}
 	if sm != nil {
 		opts.Metrics = sm
 	}

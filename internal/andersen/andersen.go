@@ -73,9 +73,6 @@ type Options struct {
 	// Metrics receives per-operation solver measurements; see
 	// polce.Options.Metrics.
 	Metrics polce.MetricsSink
-	// LSWorkers is the least-solution pass worker count; see
-	// polce.Options.LSWorkers.
-	LSWorkers int
 }
 
 // Result is the outcome of an analysis: the solved constraint system plus
@@ -170,7 +167,6 @@ func Analyze(file *cgen.File, opts Options) *Result {
 		PeriodicInterval: opts.PeriodicInterval,
 		Observer:         opts.Observer,
 		Metrics:          opts.Metrics,
-		LSWorkers:        opts.LSWorkers,
 	})
 	return analyzeInto(file, sys, opts)
 }

@@ -156,9 +156,6 @@ type Options struct {
 	// The hooks add a small constant per edge addition, so leave this
 	// off when reproducing the paper's timing tables exactly.
 	Phases bool
-	// LSWorkers is the least-solution pass worker count; see
-	// polce.Options.LSWorkers.
-	LSWorkers int
 }
 
 // RunBenchmark measures the named experiments (nil = all six) on one
@@ -230,7 +227,6 @@ func runOne(p *program, exp Experiment, oracle *polce.Oracle, opt Options, repea
 			Order:            opt.Order,
 			Oracle:           oracle,
 			PeriodicInterval: exp.Interval,
-			LSWorkers:        opt.LSWorkers,
 		}
 		var sm *telemetry.SolverMetrics
 		if opt.Phases {

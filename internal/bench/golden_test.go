@@ -37,9 +37,7 @@ type goldenCounters struct {
 // under SF-Online and IF-Online and compares each cell's deterministic
 // fields with testdata/counters.json.
 // Unlike the determinism tests, which compare two runs of one binary,
-// the golden pins the counters across commits. The least-solution pass
-// runs on one worker: concurrent workers may both miss the union memo on
-// the same pair, which moves the hit rate but no solution.
+// the golden pins the counters across commits.
 //
 // Regenerate with: go test ./internal/bench -run TestCountersMatchGolden -update
 func TestCountersMatchGolden(t *testing.T) {
@@ -52,7 +50,7 @@ func TestCountersMatchGolden(t *testing.T) {
 	for i := range cells {
 		cells[i].Seed = CellSeed(1, cells[i])
 	}
-	results := RunParallel(cells, ParallelOptions{Phases: true, LSWorkers: 1})
+	results := RunParallel(cells, ParallelOptions{Phases: true})
 	got := make([]goldenCounters, len(results))
 	for i, r := range results {
 		if r.Err != nil {

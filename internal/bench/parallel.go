@@ -94,9 +94,6 @@ type ParallelOptions struct {
 	// Phases installs the telemetry sink per cell, recording closure time
 	// and search-depth quantiles (see Options.Phases).
 	Phases bool
-	// LSWorkers is the least-solution pass worker count per cell; see
-	// polce.Options.LSWorkers.
-	LSWorkers int
 }
 
 // RunParallel measures every cell on a pool of workers. Cells are claimed
@@ -150,7 +147,7 @@ func runCell(c Cell, opt ParallelOptions) CellResult {
 	if repeat <= 0 {
 		repeat = 1
 	}
-	run := runOne(p, c.Exp, oracle, Options{Seed: c.Seed, Order: c.Order, Phases: opt.Phases, LSWorkers: opt.LSWorkers}, repeat)
+	run := runOne(p, c.Exp, oracle, Options{Seed: c.Seed, Order: c.Order, Phases: opt.Phases}, repeat)
 	return CellResult{Cell: c, Run: run}
 }
 
@@ -164,7 +161,6 @@ type Baseline struct {
 	GoVersion string         `json:"go_version"`
 	Workers   int            `json:"workers"`
 	Repeat    int            `json:"repeat"`
-	LSWorkers int            `json:"ls_workers"`
 	Cells     []BaselineCell `json:"cells"`
 }
 
@@ -206,12 +202,11 @@ func NewBaseline(results []CellResult, opt ParallelOptions, now time.Time) Basel
 		repeat = 1
 	}
 	b := Baseline{
-		Schema:    "polce-bench-baseline/4",
+		Schema:    "polce-bench-baseline/5",
 		Generated: now.UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Workers:   workers,
 		Repeat:    repeat,
-		LSWorkers: opt.LSWorkers,
 	}
 	for _, r := range results {
 		if r.Err != nil {

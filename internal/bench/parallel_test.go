@@ -109,7 +109,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("baseline does not round-trip: %v", err)
 	}
-	if back.Schema != "polce-bench-baseline/4" {
+	if back.Schema != "polce-bench-baseline/5" {
 		t.Errorf("schema = %q", back.Schema)
 	}
 	if len(back.Cells) != len(cells) {

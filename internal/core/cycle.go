@@ -1,9 +1,9 @@
 package core
 
 // This file implements the paper's partial online cycle elimination
-// (Section 2.5, Figure 3) as the online CycleStrategy. When a
-// variable-variable edge is about to be inserted, the strategy searches
-// for a chain that would close a cycle:
+// (Section 2.5, Figure 3). When a variable-variable edge is about to be
+// inserted under an online policy, the solver searches for a chain that
+// would close a cycle:
 //
 //   - inserting a successor edge X → Y (constraint X ⊆ Y): search along
 //     predecessor edges starting at X for a predecessor chain Y ⋯→ X;
@@ -19,13 +19,13 @@ package core
 // restriction for SF, which detects more cycles but visits far more nodes.
 //
 // The collapse machinery itself (collapse, absorb, the offline Tarjan
-// pass) stays on System: every strategy that finds a cycle funnels into
-// the same engine-owned merge path, so their accounting cannot drift.
+// pass) is shared by every policy that finds a cycle, so their accounting
+// cannot drift.
 
-// onlineStrategy is the paper's partial online elimination. It owns the
+// onlineSearch is the paper's partial online elimination. It owns the
 // chain-search scratch state (epoch mark, found path, explicit stack);
 // the search marks are parked in each variable's Mark slot.
-type onlineStrategy struct {
+type onlineSearch struct {
 	sys        *System
 	increasing bool // SF ablation: search up-order instead of down
 
@@ -34,22 +34,12 @@ type onlineStrategy struct {
 	frames      []chainFrame // scratch: explicit stack for chainSearch
 }
 
-func (o *onlineStrategy) Policy() CyclePolicy {
-	if o.increasing {
-		return CycleOnlineIncreasing
-	}
-	return CycleOnline
-}
-
-func (o *onlineStrategy) ReuseVar(int) *Var { return nil }
-func (o *onlineStrategy) BeforeStep()       {}
-
-// PendingEdge searches for a chain closing a cycle with the pending edge
+// pendingEdge searches for a chain closing a cycle with the pending edge
 // x ⊆ y and, if one is found, collapses every variable on the cycle onto
 // the lowest-ordered witness. It reports whether a collapse happened (in
 // which case the pending edge must not be inserted: it lies inside the
 // witness).
-func (o *onlineStrategy) PendingEdge(x, y *Var, asSucc bool) bool {
+func (o *onlineSearch) pendingEdge(x, y *Var, asSucc bool) bool {
 	s := o.sys
 	s.stats.CycleSearches++
 	visitsBefore := s.stats.CycleVisits
@@ -81,12 +71,12 @@ func (o *onlineStrategy) PendingEdge(x, y *Var, asSucc bool) bool {
 // predChain reports whether a predecessor chain to ⋯→ from exists,
 // following only predecessor edges to lower-ordered variables. On success
 // o.path holds every variable on the chain, endpoints included.
-func (o *onlineStrategy) predChain(from, to *Var) bool {
+func (o *onlineSearch) predChain(from, to *Var) bool {
 	return o.chainSearch(from, to, false, false)
 }
 
 // succChain is the successor-edge dual of predChain.
-func (o *onlineStrategy) succChain(from, to *Var) bool {
+func (o *onlineSearch) succChain(from, to *Var) bool {
 	return o.chainSearch(from, to, true, false)
 }
 
@@ -94,7 +84,7 @@ func (o *onlineStrategy) succChain(from, to *Var) bool {
 // increasing=false each step must decrease in the variable order (the
 // paper's cheap partial search); with increasing=true each step must
 // increase (the §4 ablation, which finds more cycles at much higher cost).
-func (o *onlineStrategy) succChainSF(from, to *Var, increasing bool) bool {
+func (o *onlineSearch) succChainSF(from, to *Var, increasing bool) bool {
 	return o.chainSearch(from, to, true, increasing)
 }
 
@@ -112,7 +102,7 @@ type chainFrame struct {
 // exactly: a node's visit is counted on entry, the to-test precedes the
 // visited mark, adjacency is scanned in stored order, and on success
 // o.path holds the chain with `to` first and `from` last.
-func (o *onlineStrategy) chainSearch(from, to *Var, succ, increasing bool) bool {
+func (o *onlineSearch) chainSearch(from, to *Var, succ, increasing bool) bool {
 	s := o.sys
 	s.stats.CycleVisits++
 	if from == to {
@@ -227,7 +217,7 @@ func (s *System) absorb(a, w *Var) {
 // collapseSCCGroups runs Tarjan over the current variable-variable graph
 // and collapses every non-trivial strongly connected component onto its
 // witness. It is the shared group-and-collapse core of the periodic
-// strategy's sweep and CollapseCycles, so their accounting cannot drift.
+// sweep and CollapseCycles, so their accounting cannot drift.
 // It returns the number of variables examined and the number merged away.
 func (s *System) collapseSCCGroups() (visited, collapsed int) {
 	vars := s.CanonicalVars()

@@ -18,9 +18,9 @@ import "sort"
 // the paper, inductive-form experiment timings always include this pass.
 //
 // The pass itself is implemented by the engine in lsengine.go: interned
-// shared term-sets combined by memoized unions, evaluated level-parallel
-// over the predecessor DAG, and recomputed incrementally for only the
-// dirty cone after an update. The straightforward algorithm is retained
+// shared term-sets combined by memoized unions, evaluated in one
+// ascending sweep, and recomputed incrementally for only the dirty cone
+// after an update. The straightforward algorithm is retained
 // below as leastSolutionsReference, the oracle the engine is
 // property-tested against.
 
@@ -51,12 +51,10 @@ func (s *System) LSCacheState() LSCacheState {
 		PendingDirty: len(s.lsPending),
 	}
 	if e := s.lsEngine; e != nil {
-		e.mu.Lock()
 		for _, bucket := range e.interned {
 			st.InternedNodes += len(bucket)
 		}
 		st.MemoEntries = len(e.memo)
-		e.mu.Unlock()
 	}
 	return st
 }

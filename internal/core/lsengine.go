@@ -1,11 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"polce/internal/core/graph"
@@ -15,7 +12,8 @@ import (
 // algorithm in leastsol.go materialises every LS(Y) from scratch into a
 // fresh map; on closed graphs most least solutions are unions of a few
 // predecessor sets, so that pass copies the same suffixes over and over.
-// The engine replaces it with three cooperating pieces:
+// The engine replaces it with two cooperating pieces, both driven by one
+// ascending sweep over the canonical variables in o(·) order:
 //
 //  1. Shared interned term-sets. A least solution is an immutable lsNode
 //     holding a deduplicated list of term ids in first-reached order.
@@ -26,32 +24,22 @@ import (
 //     its ids to terms once, on its first read, so every reader of a
 //     shared node shares that view too.
 //
-//  2. Level-parallel evaluation. Predecessor edges strictly decrease in
-//     the order o(·), so the predecessor graph is a DAG and level(Y) =
-//     1 + max level of Y's variable predecessors partitions the
-//     variables into antichains. Each level is evaluated across a worker
-//     pool (Options.LSWorkers, default GOMAXPROCS) with a barrier between
-//     levels; every worker writes only its own variables' nodes, so the
-//     pass is race-free and its results are bit-identical to the
-//     sequential pass at any worker count.
-//
-//  3. Dirty-cone incremental recomputation. The solver bumps a graph
+//  2. Dirty-cone incremental recomputation. The solver bumps a graph
 //     version only on mutations that can change a least solution (new
 //     source edge, new predecessor edge, collapse) and marks the affected
 //     variable; redundant re-additions keep the cache hot. A pass then
 //     recomputes only the marked variables and their downstream cone —
-//     computed in the same ascending sweep that assigns levels, since a
-//     variable is stale exactly when one of its predecessors is — and
-//     every other variable keeps its cached node.
+//     a variable is stale exactly when one of its predecessors is, and
+//     predecessors strictly precede it in o(·) — and every other
+//     variable keeps its cached node.
+//
+// Because nodes are hash-consed, the union memo's keys are content pairs:
+// which unions a pass computes, and so every engine counter, does not
+// depend on the order the cone is evaluated in.
 
 // lsIndexThreshold is the node size above which membership tests build a
 // lazily-cached hash index instead of scanning the term list.
 const lsIndexThreshold = 16
-
-// lsParallelThreshold is the minimum number of cone variables on one
-// level before the level is fanned across workers; smaller levels are
-// evaluated inline to avoid goroutine overhead.
-const lsParallelThreshold = 32
 
 // lsNode is one interned, immutable least-solution term-set. terms is
 // deduplicated and in first-reached order (own sources first, then each
@@ -62,12 +50,10 @@ type lsNode struct {
 	hash  uint64
 	terms []graph.TermID
 
-	once  sync.Once        // builds index on first large membership probe
-	index *graph.TermIndex // nil until built; larger nodes only
+	index *graph.TermIndex // built on the first membership probe; larger nodes only
 
 	// view is terms mapped through the store's term table, built by the
-	// first LeastSolution read of the node (under the caller's exclusive
-	// access to the System; the parallel pass never reads it).
+	// first LeastSolution read of the node.
 	view []*Term
 }
 
@@ -81,7 +67,9 @@ func (n *lsNode) has(t graph.TermID) bool {
 		}
 		return false
 	}
-	n.once.Do(func() { n.index = graph.NewTermIndex(n.terms) })
+	if n.index == nil {
+		n.index = graph.NewTermIndex(n.terms)
+	}
 	return n.index.Has(t)
 }
 
@@ -93,16 +81,14 @@ type lsPair struct{ a, b *lsNode }
 // of one System. It persists across incremental passes — the memo is what
 // makes re-unions of unchanged suffixes free.
 type lsEngine struct {
-	mu       sync.Mutex           // guards interned and memo during parallel levels
 	interned map[uint64][]*lsNode // content hash → nodes (bucketed, equality-checked)
 	memo     map[lsPair]*lsNode
 
 	empty *lsNode
 
-	// Counters are atomics because level workers update them concurrently.
-	hits   atomic.Int64 // union memo hits
-	misses atomic.Int64 // union memo misses (union actually computed)
-	work   atomic.Int64 // terms materialised into newly interned nodes
+	hits   int64 // union memo hits
+	misses int64 // union memo misses (union actually computed)
+	work   int64 // terms materialised into newly interned nodes
 }
 
 func newLSEngine() *lsEngine {
@@ -143,10 +129,8 @@ func (e *lsEngine) intern(terms []graph.TermID, copyOnCreate bool) *lsNode {
 		return e.empty
 	}
 	h := hashTerms(terms)
-	e.mu.Lock()
 	for _, n := range e.interned[h] {
 		if slices.Equal(n.terms, terms) {
-			e.mu.Unlock()
 			return n
 		}
 	}
@@ -155,8 +139,7 @@ func (e *lsEngine) intern(terms []graph.TermID, copyOnCreate bool) *lsNode {
 	}
 	n := &lsNode{hash: h, terms: terms}
 	e.interned[h] = append(e.interned[h], n)
-	e.mu.Unlock()
-	e.work.Add(int64(len(terms)))
+	e.work += int64(len(terms))
 	return n
 }
 
@@ -176,14 +159,11 @@ func (e *lsEngine) union(a, b *lsNode) *lsNode {
 		return b
 	}
 	key := lsPair{a, b}
-	e.mu.Lock()
-	r, ok := e.memo[key]
-	e.mu.Unlock()
-	if ok {
-		e.hits.Add(1)
+	if r, ok := e.memo[key]; ok {
+		e.hits++
 		return r
 	}
-	e.misses.Add(1)
+	e.misses++
 	var out []graph.TermID
 	for _, t := range b.terms {
 		if !a.has(t) {
@@ -194,14 +174,11 @@ func (e *lsEngine) union(a, b *lsNode) *lsNode {
 			out = append(out, t)
 		}
 	}
-	if out == nil {
-		r = a // b ⊆ a: share a's node
-	} else {
+	r := a // b ⊆ a: share a's node
+	if out != nil {
 		r = e.intern(out, false)
 	}
-	e.mu.Lock()
 	e.memo[key] = r
-	e.mu.Unlock()
 	return r
 }
 
@@ -213,8 +190,8 @@ func lsNodeOf(v *Var) *lsNode {
 }
 
 // evalVar computes y's least-solution node from its (already cleaned,
-// hence canonical) adjacency. Every variable predecessor sits on a lower
-// level, so its node was published before this level's barrier opened.
+// hence canonical) adjacency. Every variable predecessor precedes y in
+// o(·), so the ascending sweep has already brought its node up to date.
 func (e *lsEngine) evalVar(y *Var) *lsNode {
 	n := e.leaf(y.PredS.List())
 	for _, x := range y.PredV.List() {
@@ -223,23 +200,9 @@ func (e *lsEngine) evalVar(y *Var) *lsNode {
 	return n
 }
 
-// ResolveLSWorkers resolves an Options.LSWorkers setting to the effective
-// pool size (<= 0 → GOMAXPROCS), for callers that want to report it.
-func ResolveLSWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// lsWorkers resolves the configured worker count (<= 0 → GOMAXPROCS).
-func (s *System) lsWorkers() int {
-	return ResolveLSWorkers(s.opt.LSWorkers)
-}
-
 // runLeastSolutionPass brings every canonical variable's lsNode up to
 // date with the current graph version. See the file comment for the
-// three-part design. Callers have checked Form == IF and staleness.
+// design. Callers have checked Form == IF and staleness.
 func (s *System) runLeastSolutionPass() {
 	start := time.Now()
 	full := s.lsEngine == nil
@@ -247,18 +210,18 @@ func (s *System) runLeastSolutionPass() {
 		s.lsEngine = newLSEngine()
 	}
 	e := s.lsEngine
-	hits0, misses0 := e.hits.Load(), e.misses.Load()
+	hits0, misses0 := e.hits, e.misses
 
 	vars := s.CanonicalVars()
 	sort.Slice(vars, func(i, j int) bool { return before(vars[i], vars[j]) })
 
 	// Ascending sweep: canonicalise adjacency, assign topological levels
-	// over the predecessor DAG, and mark the dirty cone. A variable is in
-	// the cone when it has no node yet, was marked by a mutation, or has a
-	// predecessor in the cone; predecessors strictly precede in o(·), so
-	// one pass settles both level and cone membership. Sweep positions
-	// live in Var.Sol.Idx so pred lookups cost an indexed load, not a map
-	// probe.
+	// over the predecessor DAG, mark the dirty cone and re-evaluate it. A
+	// variable is in the cone when it has no node yet, was marked by a
+	// mutation, or has a predecessor in the cone; predecessors strictly
+	// precede in o(·), so one pass settles level, cone membership and the
+	// node itself. Sweep positions live in Var.Sol.Idx so pred lookups
+	// cost an indexed load, not a map probe.
 	for i, v := range vars {
 		v.Sol.Idx = int32(i)
 	}
@@ -285,51 +248,10 @@ func (s *System) runLeastSolutionPass() {
 		if rec {
 			inCone[i] = true
 			cone++
+			y.Sol.Node = e.evalVar(y)
 		}
 	}
-
-	buckets := make([][]int, maxLevel+1)
-	for i := range vars {
-		if inCone[i] {
-			buckets[level[i]] = append(buckets[level[i]], i)
-		}
-	}
-
-	workers := s.lsWorkers()
-	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if workers <= 1 || len(b) < lsParallelThreshold {
-			for _, i := range b {
-				vars[i].Sol.Node = e.evalVar(vars[i])
-			}
-			continue
-		}
-		// One chunk per worker; each worker writes only its own
-		// variables' nodes, and the WaitGroup barrier publishes them to
-		// the next level's readers.
-		n := workers
-		if n > len(b) {
-			n = len(b)
-		}
-		chunk := (len(b) + n - 1) / n
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(b); lo += chunk {
-			hi := lo + chunk
-			if hi > len(b) {
-				hi = len(b)
-			}
-			wg.Add(1)
-			go func(part []int) {
-				defer wg.Done()
-				for _, i := range part {
-					vars[i].Sol.Node = e.evalVar(vars[i])
-				}
-			}(b[lo:hi])
-		}
-		wg.Wait()
-	}
+	levels := maxLevel + 1
 
 	for _, v := range s.lsPending {
 		v.Sol.Pending = false
@@ -339,20 +261,19 @@ func (s *System) runLeastSolutionPass() {
 
 	s.stats.LSPasses++
 	s.stats.LSConeVars += int64(cone)
-	s.stats.LSLevels = int64(len(buckets))
-	s.stats.LSUnionHits = e.hits.Load()
-	s.stats.LSUnionMisses = e.misses.Load()
-	s.stats.LSWork = e.work.Load()
+	s.stats.LSLevels = int64(levels)
+	s.stats.LSUnionHits = e.hits
+	s.stats.LSUnionMisses = e.misses
+	s.stats.LSWork = e.work
 
 	if s.opt.Metrics != nil {
 		s.opt.Metrics.LeastSolutionDone(LSPass{
 			Duration:    time.Since(start),
-			Levels:      len(buckets),
+			Levels:      levels,
 			ConeVars:    cone,
 			TotalVars:   len(vars),
-			UnionHits:   e.hits.Load() - hits0,
-			UnionMisses: e.misses.Load() - misses0,
-			Workers:     workers,
+			UnionHits:   e.hits - hits0,
+			UnionMisses: e.misses - misses0,
 		})
 	}
 }

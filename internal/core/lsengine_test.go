@@ -27,47 +27,45 @@ func checkLSAgainstReference(t *testing.T, s *System, ctx string) {
 }
 
 // TestLSEngineMatchesReference is the engine's central property test: on
-// random systems across orders, seeds and worker counts, the interned /
-// level-parallel / incremental engine must reproduce the naive
-// reference's output exactly — including after interleaved offline
-// collapses and after incremental updates on a warm cache.
+// random systems across orders and seeds, the interned / incremental
+// engine must reproduce the naive reference's output exactly — including
+// after interleaved offline collapses and after incremental updates on a
+// warm cache.
 func TestLSEngineMatchesReference(t *testing.T) {
 	for _, order := range []OrderStrategy{OrderRandom, OrderCreation, OrderReverseCreation} {
 		for seed := int64(0); seed < 5; seed++ {
-			for _, workers := range []int{1, 4} {
-				const nv, nc = 60, 180
-				ops := genScript(seed, nv, nc)
-				s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: seed, Order: order, LSWorkers: workers})
-				var vars []*Var
-				apply := func(from, to int) {
-					for _, op := range ops[from:to] {
-						if op.fresh {
-							vars = append(vars, s.Fresh(fmt.Sprintf("v%d", len(vars))))
-							continue
-						}
-						s.AddConstraint(op.l.build(vars), op.r.build(vars))
+			const nv, nc = 60, 180
+			ops := genScript(seed, nv, nc)
+			s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: seed, Order: order})
+			var vars []*Var
+			apply := func(from, to int) {
+				for _, op := range ops[from:to] {
+					if op.fresh {
+						vars = append(vars, s.Fresh(fmt.Sprintf("v%d", len(vars))))
+						continue
 					}
+					s.AddConstraint(op.l.build(vars), op.r.build(vars))
 				}
-				ctx := func(phase string) string {
-					return fmt.Sprintf("order=%v seed=%d workers=%d %s", order, seed, workers, phase)
-				}
-
-				split := nv + nc/2
-				apply(0, split)
-				checkLSAgainstReference(t, s, ctx("half"))
-
-				// Offline collapse on a warm cache, then verify again.
-				s.CollapseCycles()
-				checkLSAgainstReference(t, s, ctx("after-collapse"))
-
-				// Incremental updates: the remaining constraints land on a
-				// warm cache, so only dirty cones are recomputed.
-				apply(split, len(ops))
-				checkLSAgainstReference(t, s, ctx("full"))
-
-				s.CollapseCycles()
-				checkLSAgainstReference(t, s, ctx("final-collapse"))
 			}
+			ctx := func(phase string) string {
+				return fmt.Sprintf("order=%v seed=%d %s", order, seed, phase)
+			}
+
+			split := nv + nc/2
+			apply(0, split)
+			checkLSAgainstReference(t, s, ctx("half"))
+
+			// Offline collapse on a warm cache, then verify again.
+			s.CollapseCycles()
+			checkLSAgainstReference(t, s, ctx("after-collapse"))
+
+			// Incremental updates: the remaining constraints land on a
+			// warm cache, so only dirty cones are recomputed.
+			apply(split, len(ops))
+			checkLSAgainstReference(t, s, ctx("full"))
+
+			s.CollapseCycles()
+			checkLSAgainstReference(t, s, ctx("final-collapse"))
 		}
 	}
 }
@@ -151,65 +149,67 @@ func TestLSIncrementalConeRecomputation(t *testing.T) {
 	}
 }
 
-// TestLSParallelBitIdentical runs the same script through a sequential
-// and a parallel system and requires every variable's least solution to
-// match term-for-term, in order — the engine's determinism contract.
+// TestLSParallelBitIdentical solves the same IF-Online script twice and
+// requires every variable's least solution to match term-for-term, in
+// order, and every Stats counter — the union memo's hits and misses
+// included — to repeat exactly: the engine's determinism contract.
 func TestLSParallelBitIdentical(t *testing.T) {
 	ops := genScript(3, 400, 1200)
-	seq, seqVars := runScript(Options{Form: IF, Cycles: CycleOnline, Seed: 3, LSWorkers: 1}, ops)
-	par, parVars := runScript(Options{Form: IF, Cycles: CycleOnline, Seed: 3, LSWorkers: 4}, ops)
-	seq.ComputeLeastSolutions()
-	par.ComputeLeastSolutions()
-	if len(seqVars) != len(parVars) {
-		t.Fatalf("variable counts differ: %d vs %d", len(seqVars), len(parVars))
+	opt := Options{Form: IF, Cycles: CycleOnline, Seed: 3}
+	first, firstVars := runScript(opt, ops)
+	second, secondVars := runScript(opt, ops)
+	first.ComputeLeastSolutions()
+	second.ComputeLeastSolutions()
+	if len(firstVars) != len(secondVars) {
+		t.Fatalf("variable counts differ: %d vs %d", len(firstVars), len(secondVars))
 	}
-	for i := range seqVars {
-		a := seq.LeastSolution(seqVars[i])
-		b := par.LeastSolution(parVars[i])
+	for i := range firstVars {
+		a := first.LeastSolution(firstVars[i])
+		b := second.LeastSolution(secondVars[i])
 		if len(a) != len(b) {
-			t.Fatalf("LS(v%d): sequential %d terms, parallel %d", i, len(a), len(b))
+			t.Fatalf("LS(v%d): first run %d terms, second %d", i, len(a), len(b))
 		}
 		for j := range a {
 			if a[j].String() != b[j].String() {
-				t.Fatalf("LS(v%d)[%d]: sequential %v, parallel %v", i, j, a[j], b[j])
+				t.Fatalf("LS(v%d)[%d]: first run %v, second %v", i, j, a[j], b[j])
 			}
 		}
 	}
+	if a, b := first.Stats(), second.Stats(); a != b {
+		t.Fatalf("Stats differ between runs:\n first %+v\nsecond %+v", a, b)
+	}
+	if first.Stats().LSUnionHits == 0 {
+		t.Fatal("no union memo hits: the script does not exercise the memo")
+	}
 }
 
-// TestLSParallelPass exercises the level-parallel code path (the system
-// is large enough that levels cross lsParallelThreshold) at both worker
-// settings, including an incremental pass on a warm engine — this is the
-// test the CI race job leans on for the pass's race-freedom.
+// TestLSParallelPass runs the engine on a system large enough that nodes
+// outgrow lsIndexThreshold, so the pass builds term indexes, and then
+// runs an incremental pass on the warm engine.
 func TestLSParallelPass(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s, vars := runScript(Options{Form: IF, Cycles: CycleOnline, Seed: 9, LSWorkers: workers}, genScript(9, 400, 1200))
-		s.ComputeLeastSolutions()
-		if got := s.Stats().LSPasses; got != 1 {
-			t.Fatalf("workers=%d: LSPasses = %d, want 1", workers, got)
-		}
-		// Large nodes build their term index under sync.Once on first
-		// probe; with 4 workers that happens inside the parallel levels,
-		// which is what keeps the race job covering the build.
-		indexed := 0
-		for _, bucket := range s.lsEngine.interned {
-			for _, n := range bucket {
-				if n.index != nil {
-					indexed++
-				}
+	s, vars := runScript(Options{Form: IF, Cycles: CycleOnline, Seed: 9}, genScript(9, 400, 1200))
+	s.ComputeLeastSolutions()
+	if got := s.Stats().LSPasses; got != 1 {
+		t.Fatalf("LSPasses = %d, want 1", got)
+	}
+	indexed := 0
+	for _, bucket := range s.lsEngine.interned {
+		for _, n := range bucket {
+			if n.index != nil {
+				indexed++
 			}
 		}
-		if indexed == 0 {
-			t.Fatalf("workers=%d: no node built its term index", workers)
-		}
-		// Warm-cache incremental pass.
-		s.AddConstraint(atoms(1)[0], vars[0])
-		s.ComputeLeastSolutions()
-		if got := s.Stats().LSPasses; got != 2 {
-			t.Fatalf("workers=%d: LSPasses = %d, want 2", workers, got)
-		}
-		if s.Stats().LSLevels == 0 {
-			t.Fatalf("workers=%d: LSLevels not recorded", workers)
-		}
+	}
+	if indexed == 0 {
+		t.Fatal("no node built its term index")
+	}
+	// Warm-cache incremental pass.
+	s.AddConstraint(atoms(1)[0], vars[0])
+	s.ComputeLeastSolutions()
+	if got := s.Stats().LSPasses; got != 2 {
+		t.Fatalf("LSPasses = %d, want 2", got)
+	}
+	if s.Stats().LSLevels == 0 {
+		t.Fatal("LSLevels not recorded")
 	}
 }

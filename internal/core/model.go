@@ -25,17 +25,17 @@
 // The package is the middle of a three-layer stack. The storage layer,
 // internal/core/graph, owns the object model, the variable store, the
 // union-find forwarding structure and the adjacency sets; core owns the
-// resolution engine (System) and the pluggable Representation and
-// CycleStrategy policies that drive it; the public façade, the root polce
-// package, adds locking, batching and snapshot-isolated concurrent
-// queries on top. Clients should normally use the façade.
+// resolution engine (System), with the representation and cycle policy
+// selected by Options; the public façade, the root polce package, adds
+// locking, batching and snapshot-isolated concurrent queries on top.
+// Clients should normally use the façade.
 package core
 
 import "polce/internal/core/graph"
 
 // The object model lives in the storage layer; core aliases it so the
-// resolution engine, the strategies and every existing client share one
-// vocabulary. The aliases are re-exported again by the polce façade.
+// resolution engine and every existing client share one vocabulary. The
+// aliases are re-exported again by the polce façade.
 type (
 	// Variance describes how a constructor argument position behaves
 	// under inclusion.

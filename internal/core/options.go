@@ -53,8 +53,6 @@ type LSPass struct {
 	// pass: a hit reuses an interned result, a miss computes the union.
 	UnionHits   int64
 	UnionMisses int64
-	// Workers is the resolved worker count the pass ran with.
-	Workers int
 }
 
 // Form selects the constraint-graph representation.
@@ -157,11 +155,13 @@ func (o OrderStrategy) String() string {
 
 // Options configures a System.
 type Options struct {
-	// Form selects the graph representation (default SF).
+	// Form selects the graph representation (default SF; any value but
+	// SF is IF).
 	Form Form
 	// Order selects the variable-order strategy (default OrderRandom).
 	Order OrderStrategy
-	// Cycles selects the cycle-elimination policy (default CycleNone).
+	// Cycles selects the cycle-elimination policy (default CycleNone,
+	// which an unknown value also selects).
 	Cycles CyclePolicy
 	// Seed seeds the random total order o(·) on variables. Two systems
 	// with the same seed assign the same order to the same creation
@@ -172,9 +172,6 @@ type Options struct {
 	// PeriodicInterval is the number of edge additions between offline
 	// sweeps under CyclePeriodic. Zero means 1000.
 	PeriodicInterval int
-	// MaxErrors bounds how many inconsistent-constraint errors are
-	// retained (further ones are counted but dropped). Zero means 16.
-	MaxErrors int
 	// Observer, when non-nil, receives solver events (edge insertions,
 	// cycle collapses, sweeps) as they happen. Intended for traces,
 	// visualisation and tests; it must not mutate the system.
@@ -183,19 +180,13 @@ type Options struct {
 	// attempts, search depths, collapse sizes, worklist samples, closure
 	// times); see MetricsSink. It must not mutate the system.
 	Metrics MetricsSink
-	// LSWorkers is the worker count for the inductive-form least-solution
-	// pass. Levels of the predecessor DAG with enough stale variables are
-	// fanned across this many goroutines; results are bit-identical at any
-	// setting. Zero or negative means GOMAXPROCS; 1 forces the sequential
-	// pass.
-	LSWorkers int
 	// Retractable enables constraint retraction: every batch added
-	// between BeginBatch/EndBatch is recorded (constraints, variable
-	// footprint, edge-attempt keys) so RetractBatches can later remove
-	// it and rebuild only the entangled dirty cone. Off by
-	// default: tracking costs memory proportional to the added
-	// constraints and a branch per edge attempt, and a non-retractable
-	// system's behavior is bit-identical to previous releases.
+	// between BeginBatch/EndBatch is recorded (constraints and variable
+	// footprint) so RetractBatches can later remove it and rebuild only
+	// the entangled dirty cone. Off by default: tracking costs memory
+	// proportional to the added constraints and a branch per edge
+	// attempt, and a non-retractable system's behavior is bit-identical
+	// to previous releases.
 	// Incompatible with CyclePeriodic (NewSystem panics), whose global
 	// sweeps couple otherwise-independent batches.
 	Retractable bool

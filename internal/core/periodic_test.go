@@ -57,12 +57,8 @@ func TestPeriodicIntervalControlsSweepCount(t *testing.T) {
 
 func TestPeriodicDefaultInterval(t *testing.T) {
 	s := NewSystem(Options{Form: IF, Cycles: CyclePeriodic, Seed: 1})
-	p, ok := s.cyc.(*periodicStrategy)
-	if !ok {
-		t.Fatalf("periodic system uses strategy %T", s.cyc)
-	}
-	if p.interval != 1000 {
-		t.Errorf("default interval = %d, want 1000", p.interval)
+	if s.sweepInterval != 1000 {
+		t.Errorf("default interval = %d, want 1000", s.sweepInterval)
 	}
 }
 

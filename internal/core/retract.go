@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"polce/internal/core/graph"
 )
 
 // This file implements constraint retraction. The design (DESIGN.md §12)
@@ -28,12 +26,10 @@ import (
 //     variable to the live batches whose footprints hold it, and persists
 //     across calls: a batch appends itself the first time it touches a
 //     variable, and retraction deletes the entries it rolls back. Each
-//     batch also keeps the keys of its edge attempts (keys) as its
-//     justification record, and counts its fresh insertions and collapses;
-//     the counters alone drive the no-op fast path — retracting a batch
-//     that never mutated the graph (every attempt redundant, no collapse)
-//     only unhooks it and leaves the graph, version and least-solution
-//     cache untouched.
+//     batch also counts its fresh insertions and collapses; the counters
+//     drive the no-op fast path — retracting a batch that never mutated
+//     the graph (every attempt redundant, no collapse) only unhooks it
+//     and leaves the graph, version and least-solution cache untouched.
 //
 //  3. Rollback + ordered replay. RetractBatches computes the entanglement
 //     fixpoint over the index: the dirty region is the union of footprints
@@ -101,35 +97,17 @@ type RetractReport struct {
 	NoOp bool `json:"noop"`
 }
 
-// edgeKey identifies one atomic edge attempt in a batch's justification
-// record: a variable edge x ⊆ y, a source edge t ⊆ x, or a sink edge
-// x ⊆ t. Variables key by identity and terms by id, matching the
-// adjacency sets themselves.
-type edgeKey struct {
-	kind uint8
-	t    graph.TermID
-	x, y *Var
-}
-
-const (
-	keyVarEdge uint8 = iota
-	keySrcEdge
-	keySinkEdge
-)
-
 // retractCon is one recorded top-level constraint of a batch, kept for
 // replay. The expression pointers stay valid across rollback because the
 // vocabulary is never undone.
 type retractCon struct{ l, r Expr }
 
 // batchRecord is the undo-log entry for one batch: its constraints in
-// application order, its variable footprint, the keys of its edge
-// attempts, and its mutation counters.
+// application order, its variable footprint and its mutation counters.
 type batchRecord struct {
 	id      uint64
 	cons    []retractCon
 	touched []*Var // footprint in first-touch order, each variable once
-	keys    []edgeKey
 
 	inserted  int // fresh edge insertions (including edges consumed by a collapse)
 	collapses int // collapses this batch triggered
@@ -139,11 +117,10 @@ type batchRecord struct {
 // mutated reports whether the batch changed the graph at all.
 func (b *batchRecord) mutated() bool { return b.inserted > 0 || b.collapses > 0 }
 
-// resetForReplay clears the footprint, keys and counters while keeping the
+// resetForReplay clears the footprint and counters while keeping the
 // recorded constraints; the replay re-records them as it re-applies.
 func (b *batchRecord) resetForReplay() {
 	b.touched = b.touched[:0]
-	b.keys = b.keys[:0]
 	b.inserted, b.collapses, b.errs = 0, 0, 0
 }
 
@@ -243,27 +220,14 @@ func (s *System) EndBatch() {
 // Hook helpers, called from the resolution engine behind a nil check on
 // s.retract so the non-retractable hot path pays one branch per site.
 
-func (s *System) retractSrc(t graph.TermID, x *Var, fresh bool) {
-	s.retract.attempt(edgeKey{kind: keySrcEdge, x: x, t: t}, fresh)
-}
-
-func (s *System) retractSink(x *Var, t graph.TermID, fresh bool) {
-	s.retract.attempt(edgeKey{kind: keySinkEdge, x: x, t: t}, fresh)
-}
-
-// retractVarEdge records an attempted variable edge x ⊆ y. A fresh attempt
-// that the cycle strategy consumes (collapsing instead of inserting) still
-// counts as a mutation: the collapse hook adds the merged variables, and
-// the inserted counter keeps the batch off the no-op fast path.
-func (s *System) retractVarEdge(x, y *Var, fresh bool) {
-	s.retract.attempt(edgeKey{kind: keyVarEdge, x: x, y: y}, fresh)
-}
-
 // attempt records one edge attempt by the open batch: its variable
-// endpoints join the footprint, its key the justification record, and a
-// fresh attempt counts as a mutation. A fresh attempt with no batch open
-// taints the system.
-func (r *retractState) attempt(k edgeKey, fresh bool) {
+// endpoints join the footprint (x alone for a source or sink edge, x and
+// y for a variable edge x ⊆ y), and a fresh attempt counts as a mutation.
+// That includes a fresh variable edge the online search consumes
+// (collapsing instead of inserting): the collapse hook adds the merged
+// variables, and the inserted counter keeps the batch off the no-op fast
+// path. A fresh attempt with no batch open taints the system.
+func (r *retractState) attempt(x, y *Var, fresh bool) {
 	b := r.active
 	if b == nil {
 		if fresh {
@@ -271,11 +235,10 @@ func (r *retractState) attempt(k edgeKey, fresh bool) {
 		}
 		return
 	}
-	r.touch(b, k.x)
-	if k.y != nil {
-		r.touch(b, k.y)
+	r.touch(b, x)
+	if y != nil {
+		r.touch(b, y)
 	}
-	b.keys = append(b.keys, k)
 	if fresh {
 		b.inserted++
 	}

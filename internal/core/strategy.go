@@ -1,119 +1,34 @@
 package core
 
-// This file is the strategy layer: the two policy axes of the solver —
-// which endpoint of a variable-variable edge stores it (Representation)
-// and how cyclic constraints are eliminated (CycleStrategy) — expressed as
-// interfaces the resolution engine (System) drives. The engine caches one
-// capability flag per strategy hook (System.cycDetect/cycSweep/cycReuse),
-// so configurations that do not use a hook pay a single predictable branch
-// on the hot path, exactly as the pre-layered code did.
+// This file holds the cycle policies that act outside an edge insertion,
+// as System code guarded by Options.Cycles: the oracle's pre-merge at
+// variable creation and the periodic offline sweep between worklist
+// steps. The online chain search, which runs inside an insertion, is in
+// cycle.go. NewSystem normalises Options.Form and Options.Cycles once, so
+// every policy site compares against a known value.
 
-// Representation decides where a variable-variable edge lives in the
-// store. It is the SF/IF axis of the paper: standard form keeps the least
-// solution explicit in the closed graph, inductive form halves the stored
-// edges and recovers the least solution by an ascending pass.
-type Representation interface {
-	// Form names the representation.
-	Form() Form
-	// StoreAsSucc reports whether the pending edge x ⊆ y is stored as a
-	// successor edge of x (true) or as a predecessor edge of y (false).
-	StoreAsSucc(x, y *Var) bool
+// oracleWitness returns the variable to hand out for creation index idx
+// under CycleOracle: the canonical witness of the strongly connected
+// component the oracle maps idx into, when that component began at an
+// earlier index, and nil when idx must be allocated.
+func (s *System) oracleWitness(idx int) *Var {
+	if w := s.opt.Oracle.witnessOf(idx); w >= 0 && w < idx {
+		return find(s.store.CreatedVar(w))
+	}
+	return nil
 }
 
-// standardForm stores every variable-variable edge as a successor edge, so
-// the closure rule propagates every source all the way forward.
-type standardForm struct{}
-
-func (standardForm) Form() Form                 { return SF }
-func (standardForm) StoreAsSucc(x, y *Var) bool { return true }
-
-// inductiveForm stores the edge on the higher-ordered endpoint: x ⊆ y is a
-// successor edge of x when o(y) < o(x) and a predecessor edge of y
-// otherwise, which keeps every stored edge pointing down-order.
-type inductiveForm struct{}
-
-func (inductiveForm) Form() Form                 { return IF }
-func (inductiveForm) StoreAsSucc(x, y *Var) bool { return before(y, x) }
-
-// CycleStrategy is a pluggable cycle-elimination policy. Each hook
-// corresponds to one point where the engine yields control: variable
-// creation (ReuseVar — the oracle's pre-merge), a novel variable-variable
-// edge about to be stored (PendingEdge — the online chain search), and the
-// gap between worklist steps (BeforeStep — periodic offline sweeps). The
-// engine consults a hook only when the strategy's capability flag is set,
-// so no-op hooks cost nothing.
-//
-// Strategies are stateful and bound to one System; they may mutate the
-// system (collapse cycles, update stats) but must not reenter the
-// worklist.
-type CycleStrategy interface {
-	// Policy names the strategy.
-	Policy() CyclePolicy
-	// ReuseVar returns an existing variable to hand out for creation
-	// index idx instead of allocating a fresh one, or nil to allocate.
-	ReuseVar(idx int) *Var
-	// PendingEdge runs the policy's per-edge work for the novel edge
-	// x ⊆ y about to be stored with the given orientation, and reports
-	// whether the edge was consumed (a cycle was found and collapsed, so
-	// the edge must not be inserted: it lies inside the witness).
-	PendingEdge(x, y *Var, asSucc bool) bool
-	// BeforeStep runs between worklist steps, when no adjacency
-	// iteration is in flight.
-	BeforeStep()
-}
-
-// noneStrategy performs no cycle elimination (the paper's "Plain" runs).
-type noneStrategy struct{}
-
-func (noneStrategy) Policy() CyclePolicy                { return CycleNone }
-func (noneStrategy) ReuseVar(int) *Var                  { return nil }
-func (noneStrategy) PendingEdge(x, y *Var, s bool) bool { return false }
-func (noneStrategy) BeforeStep()                        {}
-
-// periodicStrategy runs an offline Tarjan sweep over the whole graph every
-// interval edge additions — the prior-work strategy the paper's online
-// approach replaces, kept as an ablation baseline.
-type periodicStrategy struct {
-	sys       *System
-	interval  int64
-	lastSweep int64 // Work count at the last sweep
-}
-
-func (p *periodicStrategy) Policy() CyclePolicy                { return CyclePeriodic }
-func (p *periodicStrategy) ReuseVar(int) *Var                  { return nil }
-func (p *periodicStrategy) PendingEdge(x, y *Var, s bool) bool { return false }
-
-// BeforeStep runs one offline elimination pass when the interval has
-// elapsed: Tarjan over the current variable-variable graph, collapsing
-// every non-trivial component.
-func (p *periodicStrategy) BeforeStep() {
-	s := p.sys
-	if s.stats.Work-p.lastSweep < p.interval {
+// sweepIfDue runs one offline elimination pass under CyclePeriodic when
+// the interval has elapsed: Tarjan over the current variable-variable
+// graph, collapsing every non-trivial component. It runs between worklist
+// steps, when no adjacency iteration is in flight.
+func (s *System) sweepIfDue() {
+	if s.stats.Work-s.lastSweep < s.sweepInterval {
 		return
 	}
-	p.lastSweep = s.stats.Work
+	s.lastSweep = s.stats.Work
 	visited, collapsed := s.collapseSCCGroups()
 	s.stats.PeriodicSweeps++
 	s.stats.SweepVisits += int64(visited)
 	s.emit(Event{Kind: EventSweep, Collapsed: collapsed})
-}
-
-// oracleStrategy consults a precomputed Oracle at variable-creation time:
-// a variable whose creation index maps into an earlier strongly connected
-// component is never allocated, so the graphs stay acyclic for the whole
-// run. This is the paper's perfect, zero-cost elimination lower bound.
-type oracleStrategy struct {
-	sys    *System
-	oracle *Oracle
-}
-
-func (o *oracleStrategy) Policy() CyclePolicy                { return CycleOracle }
-func (o *oracleStrategy) PendingEdge(x, y *Var, s bool) bool { return false }
-func (o *oracleStrategy) BeforeStep()                        {}
-
-func (o *oracleStrategy) ReuseVar(idx int) *Var {
-	if w := o.oracle.witnessOf(idx); w >= 0 && w < idx {
-		return find(o.sys.store.CreatedVar(w))
-	}
-	return nil
 }

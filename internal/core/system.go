@@ -49,9 +49,8 @@ const (
 
 // System is an online inclusion-constraint solver: the resolution engine of
 // the three-layer stack. It owns the worklist and the resolution rules
-// (step/decompose/drain) and the closure rule; the variables and edges live
-// in a graph.Store, and the representation choice and cycle policy are
-// delegated to a Representation and a CycleStrategy (see strategy.go).
+// (step/decompose/drain), the closure rule and the cycle policies (cycle.go,
+// strategy.go); the variables and edges live in a graph.Store.
 // Constraints added with AddConstraint are resolved to atomic form and the
 // constraint graph is kept closed under the transitive closure rule after
 // every update; with an online cycle policy, cyclic constraints are
@@ -64,15 +63,12 @@ type System struct {
 
 	store graph.Store
 
-	rep Representation
-	cyc CycleStrategy
-
-	// Capability flags cached off the concrete strategy so the engine's
-	// hot paths keep one plain branch per site — exactly what the
-	// pre-strategy code paid — instead of an interface call per step.
-	cycDetect bool // strategy intercepts pending var-var edges (online)
-	cycSweep  bool // strategy runs between worklist steps (periodic)
-	cycReuse  bool // strategy can pre-merge at Fresh time (oracle)
+	// Cycle-policy state. online is nil unless opt.Cycles is an online
+	// policy; sweepInterval and lastSweep (the Work count at the last
+	// sweep) drive CyclePeriodic.
+	online        *onlineSearch
+	sweepInterval int64
+	lastSweep     int64
 
 	work  []constraint // LIFO worklist of pending constraints
 	stats Stats
@@ -109,51 +105,40 @@ type System struct {
 	// Retraction bookkeeping (see retract.go); nil unless
 	// Options.Retractable, so every hook site pays one branch.
 	retract *retractState
-
-	maxErr int
 }
 
+// maxErrors bounds how many inconsistent-constraint errors a System
+// retains; further ones are counted but dropped.
+const maxErrors = 16
+
 // NewSystem creates an empty constraint system with the given options.
+// Any Form but SF is inductive form, and an unknown cycle policy is
+// CycleNone.
 func NewSystem(opt Options) *System {
 	if opt.Cycles == CycleOracle && opt.Oracle == nil {
 		panic("core: CycleOracle requires Options.Oracle")
 	}
-	maxErr := opt.MaxErrors
-	if maxErr == 0 {
-		maxErr = 16
+	if opt.Form != SF {
+		opt.Form = IF
 	}
-	s := &System{
-		opt:    opt,
-		rng:    rand.New(rand.NewSource(opt.Seed)),
-		maxErr: maxErr,
+	s := &System{opt: opt, rng: rand.New(rand.NewSource(opt.Seed))}
+	switch opt.Cycles {
+	case CycleOnline, CycleOnlineIncreasing:
+		s.online = &onlineSearch{sys: s, increasing: opt.Cycles == CycleOnlineIncreasing}
+	case CyclePeriodic:
+		s.sweepInterval = int64(opt.PeriodicInterval)
+		if s.sweepInterval <= 0 {
+			s.sweepInterval = 1000
+		}
+	case CycleOracle:
+	default:
+		s.opt.Cycles = CycleNone
 	}
 	if opt.Retractable {
 		if opt.Cycles == CyclePeriodic {
 			panic("core: Options.Retractable requires a local cycle policy; periodic sweeps couple batches through a global edge counter")
 		}
 		s.retract = newRetractState()
-	}
-	if opt.Form == SF {
-		s.rep = standardForm{}
-	} else {
-		s.rep = inductiveForm{}
-	}
-	switch opt.Cycles {
-	case CycleOnline, CycleOnlineIncreasing:
-		s.cyc = &onlineStrategy{sys: s, increasing: opt.Cycles == CycleOnlineIncreasing}
-		s.cycDetect = true
-	case CyclePeriodic:
-		interval := opt.PeriodicInterval
-		if interval <= 0 {
-			interval = 1000
-		}
-		s.cyc = &periodicStrategy{sys: s, interval: int64(interval)}
-		s.cycSweep = true
-	case CycleOracle:
-		s.cyc = &oracleStrategy{sys: s, oracle: opt.Oracle}
-		s.cycReuse = true
-	default:
-		s.cyc = noneStrategy{}
 	}
 	return s
 }
@@ -169,10 +154,10 @@ func NewInitialGraph(opt Options) *System {
 }
 
 // Form returns the graph representation in use.
-func (s *System) Form() Form { return s.rep.Form() }
+func (s *System) Form() Form { return s.opt.Form }
 
 // Policy returns the cycle-elimination policy in use.
-func (s *System) Policy() CyclePolicy { return s.cyc.Policy() }
+func (s *System) Policy() CyclePolicy { return s.opt.Cycles }
 
 // Fresh creates a new set variable. Under the oracle policy, a fresh
 // variable whose creation index the oracle maps into an earlier strongly
@@ -180,8 +165,8 @@ func (s *System) Policy() CyclePolicy { return s.cyc.Policy() }
 // returned instead, so cycles never materialise.
 func (s *System) Fresh(name string) *Var {
 	idx := s.store.NumCreated()
-	if s.cycReuse {
-		if v := s.cyc.ReuseVar(idx); v != nil {
+	if s.opt.Cycles == CycleOracle {
+		if v := s.oracleWitness(idx); v != nil {
 			s.store.AddAlias(v)
 			s.stats.VarsEliminated++
 			return v
@@ -276,8 +261,8 @@ func (s *System) drain(topLevel bool) {
 		t0 = time.Now()
 	}
 	for len(s.work) > 0 {
-		if s.cycSweep {
-			s.cyc.BeforeStep()
+		if s.opt.Cycles == CyclePeriodic {
+			s.sweepIfDue()
 		}
 		if len(s.work) > s.workHWM {
 			s.workHWM = len(s.work)
@@ -322,7 +307,7 @@ func (s *System) drain(topLevel bool) {
 // stops at: all of them, except under a periodic policy, whose sweeps run
 // between worklist steps and read Work, so there each step consumes one.
 func (s *System) runStop(n int) int {
-	if s.cycSweep {
+	if s.opt.Cycles == CyclePeriodic {
 		return n - 1
 	}
 	return 0
@@ -343,7 +328,7 @@ func (s *System) srcRun(terms []graph.TermID, x *Var) {
 			s.addSource(t, x)
 			return
 		}
-		s.redundantSource(t, x)
+		s.redundantSource(x)
 	}
 	s.narrowTop(i)
 }
@@ -360,7 +345,7 @@ func (s *System) fanRun(t graph.TermID, n int) {
 			s.addSource(t, y)
 			return
 		}
-		s.redundantSource(t, y)
+		s.redundantSource(y)
 	}
 	s.narrowTop(n)
 }
@@ -449,7 +434,7 @@ func (s *System) decompose(l, r *Term) {
 // fail records an inconsistent constraint between constructed terms.
 func (s *System) fail(l, r *Term) {
 	s.errCount++
-	retained := len(s.errs) < s.maxErr
+	retained := len(s.errs) < maxErrors
 	if retained {
 		s.errs = append(s.errs, inconsistentf(l, r, "core: inconsistent constraint %s ⊆ %s", l, r))
 	}
@@ -461,7 +446,7 @@ func (s *System) fail(l, r *Term) {
 // failExpr records an unsupported expression position.
 func (s *System) failExpr(what string, l, r Expr) {
 	s.errCount++
-	retained := len(s.errs) < s.maxErr
+	retained := len(s.errs) < maxErrors
 	if retained {
 		s.errs = append(s.errs, inconsistentf(l, r, "core: %s a constraint is not expressible: %s ⊆ %s", what, l, r))
 	}
@@ -470,8 +455,8 @@ func (s *System) failExpr(what string, l, r Expr) {
 	}
 }
 
-// Errors returns the retained inconsistency errors (bounded by
-// Options.MaxErrors).
+// Errors returns the retained inconsistency errors: at most 16, further
+// ones are only counted.
 func (s *System) Errors() []error { return s.errs }
 
 // ErrorCount returns the total number of inconsistencies seen, including
@@ -485,26 +470,26 @@ func (s *System) metricEdge(redundant bool) {
 	}
 }
 
-// redundantSource counts the attempted source edge t ⊆ x that found the
+// redundantSource counts an attempted source edge into x that found the
 // edge already present.
-func (s *System) redundantSource(t graph.TermID, x *Var) {
+func (s *System) redundantSource(x *Var) {
 	s.stats.Work++
 	s.stats.Redundant++
 	s.metricEdge(true)
 	if s.retract != nil {
-		s.retractSrc(t, x, false)
+		s.retract.attempt(x, nil, false)
 	}
 }
 
 // addSource inserts the source edge t ⊆ x and pairs t with x's successors.
 func (s *System) addSource(t graph.TermID, x *Var) {
 	if !x.PredS.Add(t) {
-		s.redundantSource(t, x)
+		s.redundantSource(x)
 		return
 	}
 	s.stats.Work++
 	if s.retract != nil {
-		s.retractSrc(t, x, true)
+		s.retract.attempt(x, nil, true)
 	}
 	s.markLS(x)
 	s.metricEdge(false)
@@ -526,12 +511,12 @@ func (s *System) addSink(x *Var, t graph.TermID) {
 		s.stats.Redundant++
 		s.metricEdge(true)
 		if s.retract != nil {
-			s.retractSink(x, t, false)
+			s.retract.attempt(x, nil, false)
 		}
 		return
 	}
 	if s.retract != nil {
-		s.retractSink(x, t, true)
+		s.retract.attempt(x, nil, true)
 	}
 	s.metricEdge(false)
 	if s.opt.Observer != nil {
@@ -548,11 +533,12 @@ func (s *System) addSink(x *Var, t graph.TermID) {
 	}
 }
 
-// addVarEdge inserts the variable-variable constraint x ⊆ y. The edge is
-// oriented by the Representation: standard form always stores it as a
-// successor edge of x; inductive form stores it on the higher-ordered
-// endpoint. With an online policy the strategy's closing-chain search runs
-// first and, if a cycle is found, the whole chain is collapsed instead of
+// addVarEdge inserts the variable-variable constraint x ⊆ y. Standard
+// form always stores it as a successor edge of x; inductive form stores it
+// on the higher-ordered endpoint, as a successor edge of x when o(y) <
+// o(x) and a predecessor edge of y otherwise, so every stored edge points
+// down-order. With an online policy the closing-chain search runs first
+// and, if a cycle is found, the whole chain is collapsed instead of
 // inserting the edge.
 func (s *System) addVarEdge(x, y *Var) {
 	if x == y {
@@ -560,22 +546,22 @@ func (s *System) addVarEdge(x, y *Var) {
 	}
 	s.store.Clean(x)
 	s.store.Clean(y)
-	asSucc := s.rep.StoreAsSucc(x, y)
+	asSucc := s.opt.Form == SF || before(y, x)
 	s.stats.Work++
 	if asSucc && x.SuccV.Has(y) || !asSucc && y.PredV.Has(x) {
 		s.stats.Redundant++
 		s.metricEdge(true)
 		if s.retract != nil {
-			s.retractVarEdge(x, y, false)
+			s.retract.attempt(x, y, false)
 		}
 		return
 	}
 	if s.retract != nil {
-		s.retractVarEdge(x, y, true)
+		s.retract.attempt(x, y, true)
 	}
 	s.metricEdge(false)
-	if !s.skipClosure && s.cycDetect {
-		if s.cyc.PendingEdge(x, y, asSucc) {
+	if !s.skipClosure && s.online != nil {
+		if s.online.pendingEdge(x, y, asSucc) {
 			return
 		}
 	}

@@ -174,19 +174,47 @@ func TestInconsistency(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeOptionsNormalised pins NewSystem's normalisation: a Form
+// other than SF behaves as IF everywhere (orientation, cycle search and
+// least solutions), and an unknown cycle policy as CycleNone.
+func TestOutOfRangeOptionsNormalised(t *testing.T) {
+	ops := genScript(4, 80, 300)
+	for _, c := range []struct {
+		name      string
+		got, want Options
+	}{
+		{"Form(7)", Options{Form: Form(7), Cycles: CycleOnline, Seed: 4}, Options{Form: IF, Cycles: CycleOnline, Seed: 4}},
+		{"CyclePolicy(99)", Options{Form: IF, Cycles: CyclePolicy(99), Seed: 4}, Options{Form: IF, Cycles: CycleNone, Seed: 4}},
+	} {
+		got, gotVars := runScript(c.got, ops)
+		want, wantVars := runScript(c.want, ops)
+		if got.Form() != c.want.Form || got.Policy() != c.want.Cycles {
+			t.Errorf("%s: Form/Policy = %v/%v, want %v/%v", c.name, got.Form(), got.Policy(), c.want.Form, c.want.Cycles)
+		}
+		for i := range gotVars {
+			if a, b := fmt.Sprint(lsNames(got, gotVars[i])), fmt.Sprint(lsNames(want, wantVars[i])); a != b {
+				t.Fatalf("%s: LS(v%d) = %s, want %s", c.name, i, a, b)
+			}
+		}
+		if a, b := got.Stats(), want.Stats(); a != b {
+			t.Errorf("%s: Stats differ from %v/%v:\n got %+v\nwant %+v", c.name, c.want.Form, c.want.Cycles, a, b)
+		}
+	}
+}
+
 func TestMaxErrorsBound(t *testing.T) {
 	a := atoms(2)
-	s := NewSystem(Options{Form: SF, Seed: 5, MaxErrors: 2})
-	for i := 0; i < 10; i++ {
+	s := NewSystem(Options{Form: SF, Seed: 5})
+	for i := 0; i < 20; i++ {
 		x := s.Fresh("X")
 		s.AddConstraint(a[0], x)
 		s.AddConstraint(x, a[1])
 	}
-	if got := len(s.Errors()); got != 2 {
-		t.Errorf("retained errors = %d, want 2", got)
+	if got := len(s.Errors()); got != 16 {
+		t.Errorf("retained errors = %d, want 16", got)
 	}
-	if s.ErrorCount() != 10 {
-		t.Errorf("counted errors = %d, want 10", s.ErrorCount())
+	if s.ErrorCount() != 20 {
+		t.Errorf("counted errors = %d, want 20", s.ErrorCount())
 	}
 }
 

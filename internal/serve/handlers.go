@@ -192,14 +192,18 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) error
 	// the ingester decomposes into queue-wait + ingest-drain; the remainder
 	// — result-handoff — is the scheduling delay between the ingester
 	// finishing the batch and this goroutine waking up, measured rather
-	// than inferred so the breakdown sums to the observed wait.
+	// than inferred so the breakdown sums to the observed wait. It is
+	// taken from one clock read on wakeup, before await-apply's own span
+	// write, so it ends no later than await-apply does.
 	_, await := s.tracer.StartSpan(r.Context(), "await-apply")
 	select {
 	case res := <-job.done:
+		woke := time.Now()
+		handoff := woke.Sub(job.at) - res.wait - res.drain
 		await.SetAttr("applied", res.applied)
 		await.End()
-		if handoff := time.Since(job.at) - res.wait - res.drain; handoff > 0 {
-			s.tracer.Emit(r.Context(), "result-handoff", time.Now().Add(-handoff), handoff, nil)
+		if handoff > 0 {
+			s.tracer.Emit(r.Context(), "result-handoff", woke.Add(-handoff), handoff, nil)
 		}
 		track := trackFrom(r.Context())
 		track.phase("queue_wait", res.wait)

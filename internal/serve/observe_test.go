@@ -145,8 +145,9 @@ func TestRequestSpansLinked(t *testing.T) {
 
 // testConcurrentWriteSpans sends concurrent synchronous ingests through a
 // traced server. Every write shows await-apply, queue-wait and
-// ingest-drain as children of its http root, and queue-wait, ingest-drain
-// and result-handoff together account for the await-apply interval. The
+// ingest-drain as children of its http root, its result-handoff ends no
+// later than its await-apply, and queue-wait, ingest-drain and
+// result-handoff together account for the await-apply interval. The
 // writes queue up before the ingester starts, so all pickups but the last
 // find more work queued.
 func testConcurrentWriteSpans(t *testing.T) {
@@ -221,6 +222,14 @@ func testConcurrentWriteSpans(t *testing.T) {
 		}
 		if sum := write["queue-wait"].DurMicros + write["ingest-drain"].DurMicros; sum > httpSpan.DurMicros+1000 {
 			t.Errorf("write %s: children (%dµs) exceed http span (%dµs)", trace, sum, httpSpan.DurMicros)
+		}
+		// Start and duration are each truncated to whole microseconds, so
+		// an end can read up to 2µs late.
+		if handoff, ok := write["result-handoff"]; ok {
+			await := write["await-apply"]
+			if over := handoff.TMicros + handoff.DurMicros - (await.TMicros + await.DurMicros); over > 2 {
+				t.Errorf("write %s: result-handoff ends %dµs after await-apply", trace, over)
+			}
 		}
 		if await := write["await-apply"].DurMicros; await > 0 {
 			parts := write["queue-wait"].DurMicros + write["ingest-drain"].DurMicros + write["result-handoff"].DurMicros

@@ -113,7 +113,3 @@ func NewUnion(exprs ...Expr) *Union { return core.NewUnion(exprs...) }
 func NewIntersection(exprs ...Expr) *Intersection {
 	return core.NewIntersection(exprs...)
 }
-
-// ResolveLSWorkers resolves an Options.LSWorkers setting to the effective
-// least-solution pool size (<= 0 → GOMAXPROCS).
-func ResolveLSWorkers(w int) int { return core.ResolveLSWorkers(w) }
