@@ -11,23 +11,20 @@
 //	polce-bench -bench li           # a single benchmark
 //	polce-bench -ablation -figure 11  # include the SF increasing-chain ablation
 //	polce-bench -metrics -bench li    # phase timings + search-depth p50/p90/max
-//	polce-bench -parallel -max-ast 3000  # the deterministic grid on a worker pool
-//	polce-bench -wal-verify /var/lib/polce/wal  # replay a constraint log, check it against its manifest
 //
 // The benchmark programs are synthetic stand-ins generated at the paper's
 // Table 1 scales; see DESIGN.md for the substitution argument. Timing
 // claims for the solver, retraction and the HTTP service go through
-// cmd/polce-benchmark, whose workloads check their own results.
+// cmd/polce-benchmark, whose workloads check their own results; the
+// deterministic counters of the SF-Online and IF-Online grid are pinned
+// by `go test ./internal/bench -run TestCountersMatchGolden`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"polce"
 	"polce/internal/bench"
 	"polce/internal/model"
 	"polce/internal/randgraph"
@@ -62,14 +59,6 @@ func main() {
 		baseline = flag.Bool("baseline", false, "compare Andersen against the Steensgaard unification baseline (time and precision)")
 		csvPath  = flag.String("csv", "", "also write the full measurement matrix as CSV to this file")
 		metrics  = flag.Bool("metrics", false, "record and print per-benchmark phase timings (solve/closure/least-solution) and search-depth p50/p90/max")
-		parallel = flag.Bool("parallel", false, "run the experiment grid on the worker-pool runner (form × policy × order × seed across GOMAXPROCS workers)")
-		workers  = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		baseOut  = flag.String("baseline-out", "", "write the -parallel grid measurements as a JSON baseline to this file")
-
-		walVerify   = flag.String("wal-verify", "", "replay this constraint-log directory standalone and check the recovered graph against its manifest (recording it on first run)")
-		walManifest = flag.String("wal-manifest", "", "manifest path for -wal-verify (default <dir>/manifest.json)")
-		walSamples  = flag.Int("wal-samples", 0, "least solutions sampled into the manifest for -wal-verify (0 = 64)")
-
 		logLevel = flag.String("log-level", "info", "stderr diagnostic level: debug, info, warn, error")
 	)
 	flag.Parse()
@@ -81,19 +70,7 @@ func main() {
 	}
 	logger = telemetry.NewLogger(os.Stderr, level)
 
-	if *walVerify != "" {
-		err := bench.RunWALVerify(os.Stdout, bench.WALVerifyOptions{
-			Dir:          *walVerify,
-			ManifestPath: *walManifest,
-			Samples:      *walSamples,
-		})
-		if err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if !*all && *table == 0 && *figure == 0 && *modelSel == "" && !*ablation && !*cfaExp && !*diag && !*orders && !*sweep && !*baseline && !*metrics && !*parallel && *baseOut == "" {
+	if !*all && *table == 0 && *figure == 0 && *modelSel == "" && !*ablation && !*cfaExp && !*diag && !*orders && !*sweep && !*baseline && !*metrics {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -174,10 +151,6 @@ func main() {
 			die(fmt.Errorf("unknown benchmark %q", *benchSel))
 		}
 		suite = []bench.Benchmark{b}
-	}
-
-	if *parallel || *baseOut != "" {
-		runParallelGrid(suite, exps, *seed, *workers, *repeat, *baseOut)
 	}
 
 	var results []*bench.Result
@@ -289,67 +262,6 @@ func main() {
 		}
 		logger.Info("wrote CSV", "path", *csvPath)
 	}
-}
-
-// runParallelGrid fans the experiment grid across the worker pool and
-// prints a per-cell summary; with baseOut it also writes the committed
-// baseline JSON (see BENCH_pr2.json). Each cell's seed is derived
-// deterministically from the base seed and the cell's coordinates.
-func runParallelGrid(suite []bench.Benchmark, expNames []string, seed int64, workers, repeat int, baseOut string) {
-	var exps []bench.Experiment
-	for _, name := range expNames {
-		if e, ok := bench.ExperimentByName(name); ok {
-			exps = append(exps, e)
-		}
-	}
-	if len(exps) == 0 {
-		// The baseline's minimum coverage: the two online configurations.
-		for _, name := range []string{"SF-Online", "IF-Online"} {
-			e, _ := bench.ExperimentByName(name)
-			exps = append(exps, e)
-		}
-	}
-	cells := bench.Grid(suite, exps, []polce.OrderStrategy{polce.OrderRandom}, []int64{seed})
-	for i := range cells {
-		cells[i].Seed = bench.CellSeed(seed, cells[i])
-	}
-	opt := bench.ParallelOptions{Workers: workers, Repeat: repeat, Phases: true}
-	logger.Info("running grid", "cells", len(cells), "workers", effectiveWorkers(workers))
-	start := time.Now()
-	results := bench.RunParallel(cells, opt)
-	logger.Info("grid done", "elapsed", time.Since(start).Round(time.Millisecond).String())
-	bench.ParallelTable(os.Stdout, results)
-	fmt.Fprintln(os.Stdout)
-	failed := 0
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-		}
-	}
-	if failed > 0 {
-		die(fmt.Errorf("%d cell(s) failed", failed))
-	}
-	if baseOut != "" {
-		f, err := os.Create(baseOut)
-		if err != nil {
-			die(err)
-		}
-		b := bench.NewBaseline(results, opt, time.Now())
-		if err := bench.WriteBaseline(f, b); err != nil {
-			die(err)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		logger.Info("wrote baseline", "path", baseOut, "cells", len(b.Cells))
-	}
-}
-
-func effectiveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 func containsInt(xs []int, v int) bool {

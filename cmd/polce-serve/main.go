@@ -7,6 +7,7 @@
 //
 //	polce-serve -addr :8080
 //	polce-serve -addr :8080 -form sf -cycles online -queue 256
+//	polce-serve -wal-verify /var/lib/polce/wal   # audit a constraint log, then exit
 //
 // The API v1 (see internal/serve) is sessionized — each {session} is an
 // independent SCL namespace over the one shared solver — with batch
@@ -43,7 +44,10 @@
 // the log through the normal solver path on startup, so a crash loses
 // nothing that was acked (-wal-sync picks the fsync policy: always, batch
 // or off). Torn log tails — a crash mid-write — are truncated at startup,
-// never fatal. `polce-bench -wal-verify` audits a log offline.
+// never fatal. -wal-verify <dir> audits a log offline instead of serving:
+// it replays the log standalone and checks the recovered graph against a
+// manifest (<dir>/manifest.json, or -wal-manifest), recording the
+// manifest on the first run.
 //
 // On SIGTERM or SIGINT the server stops accepting connections, lets
 // in-flight requests finish, applies every queued constraint batch, closes
@@ -59,11 +63,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"polce"
+	"polce/internal/core"
 	"polce/internal/serve"
 	"polce/internal/telemetry"
 	"polce/internal/wal"
@@ -73,8 +77,8 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		form    = flag.String("form", "if", "graph representation: sf or if")
-		cycles  = flag.String("cycles", "online", "cycle policy: none, online, online-incr, periodic")
+		form    = flag.String("form", "if", "graph representation: "+core.FormNames())
+		cycles  = flag.String("cycles", "online", "cycle policy: "+core.CyclePolicyNames())
 		seed    = flag.Int64("seed", 1, "variable-order seed")
 		retract = flag.Bool("retractable", true, "track batch reasons so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
 
@@ -89,6 +93,9 @@ func main() {
 		walSync    = flag.String("wal-sync", "always", "constraint-log fsync policy: always (per accepted batch), batch (at queue-empty), off")
 		walSession = flag.String("wal-session", "default", "session label recorded in each log frame")
 
+		walVerify   = flag.String("wal-verify", "", "audit this constraint-log directory and exit without serving: replay it standalone and check the recovered graph against its manifest (recording it on first run)")
+		walManifest = flag.String("wal-manifest", "", "manifest path for -wal-verify (default <dir>/manifest.json)")
+
 		logLevel  = flag.String("log-level", "info", "request/diagnostic log level: debug, info, warn, error (request logs are debug)")
 		slowQuery = flag.Duration("slow-query", 0, "log requests at warn with their phase breakdown when they take at least this long (0 = off)")
 		traceOut  = flag.String("trace-out", "", "append request-scoped NDJSON spans to this file")
@@ -101,26 +108,20 @@ func main() {
 	}
 	logger = telemetry.NewLogger(os.Stderr, level)
 
-	opt := polce.Options{Seed: *seed, Retractable: *retract}
-	switch strings.ToLower(*form) {
-	case "sf":
-		opt.Form = polce.SF
-	case "if":
-		opt.Form = polce.IF
-	default:
-		fatal("unknown form %q", *form)
+	if *walVerify != "" {
+		// The log's meta, not the flags, pins the options replay runs under.
+		if err := walreplay.Verify(os.Stdout, *walVerify, *walManifest); err != nil {
+			fatal("%v", err)
+		}
+		return
 	}
-	switch strings.ToLower(*cycles) {
-	case "none", "plain":
-		opt.Cycles = polce.CycleNone
-	case "online":
-		opt.Cycles = polce.CycleOnline
-	case "online-incr", "incr":
-		opt.Cycles = polce.CycleOnlineIncreasing
-	case "periodic":
-		opt.Cycles = polce.CyclePeriodic
-	default:
-		fatal("unknown cycle policy %q", *cycles)
+
+	opt := polce.Options{Seed: *seed, Retractable: *retract}
+	if opt.Form, err = polce.ParseForm(*form); err != nil {
+		fatal("%v", err)
+	}
+	if opt.Cycles, err = polce.ParseCyclePolicy(*cycles); err != nil {
+		fatal("%v", err)
 	}
 	if opt.Retractable && opt.Cycles == polce.CyclePeriodic {
 		// Periodic offline collapses mutate the graph outside batch

@@ -1,16 +1,23 @@
-// Command polce runs Andersen's points-to analysis over a C source file
-// using the inclusion-constraint solver with a chosen graph representation
-// and cycle-elimination policy, and prints the points-to sets and solver
-// statistics.
+// Command polce runs the inclusion-constraint solver with a chosen graph
+// representation and cycle-elimination policy. The input decides the
+// front end: a C source file is analysed with Andersen's points-to
+// analysis and its points-to sets are printed; a textual constraint
+// program (the .scl format of internal/scl, or - for stdin) is solved as
+// written and the least solution of each `query V` line is printed.
 //
 // Usage:
 //
 //	polce [flags] file.c
 //	polce -form if -cycles online -stats file.c
 //	polce -steensgaard file.c          # the unification baseline instead
+//	polce -form sf -cycles none -stats constraints.scl
+//	echo 'cons a; a <= X; X <= Y; query Y' | polce -
 //
 // With -gen N a synthetic benchmark program of roughly N AST nodes is
-// analysed instead of a file (useful for quick experiments).
+// analysed instead of a file (useful for quick experiments). The
+// points-to flags (-pts, -only-nonempty, -steensgaard, -pts-dot, -alias,
+// -json) apply to C input only; setting one on a constraint program is an
+// error.
 //
 // Observability (see the README's Observability section):
 //
@@ -23,7 +30,8 @@
 // The telemetry flags instrument the inclusion-constraint solver path:
 // phase timers (parse, constraint-gen, closure, least-solution), search
 // depth / collapse size / worklist histograms, and edge-attempt counters
-// with a redundant-edge ratio gauge.
+// with a redundant-edge ratio gauge. On a constraint program only the
+// solver's own phases (closure, least-solution) are timed.
 package main
 
 import (
@@ -41,33 +49,36 @@ import (
 	"polce"
 	"polce/internal/andersen"
 	"polce/internal/cgen"
+	"polce/internal/core"
 	"polce/internal/progen"
+	"polce/internal/scl"
 	"polce/internal/steens"
 	"polce/internal/telemetry"
 )
 
-func main() {
-	var (
-		form      = flag.String("form", "if", "graph representation: sf or if")
-		cycles    = flag.String("cycles", "online", "cycle policy: none, online, online-incr")
-		seed      = flag.Int64("seed", 1, "variable-order seed")
-		stats     = flag.Bool("stats", false, "print solver statistics")
-		pts       = flag.Bool("pts", true, "print points-to sets")
-		onlyPtrs  = flag.Bool("only-nonempty", true, "print only non-empty points-to sets")
-		steensOpt = flag.Bool("steensgaard", false, "run the Steensgaard unification baseline instead")
-		gen       = flag.Int("gen", 0, "analyse a generated program of roughly N AST nodes instead of a file")
-		interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic (0 = default)")
-		trace     = flag.Bool("trace", false, "print cycle collapses and sweeps as they happen")
-		dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
-		ptsDotOut = flag.String("pts-dot", "", "write the points-to graph as Graphviz DOT to this file")
-		aliasQ    = flag.String("alias", "", "answer a may-alias query: two location names separated by a comma")
-		jsonOut   = flag.String("json", "", "write the analysis report as JSON to this file ('-' for stdout)")
+var (
+	form      = flag.String("form", "if", "graph representation: "+core.FormNames())
+	cycles    = flag.String("cycles", "online", "cycle policy: "+core.CyclePolicyNames())
+	seed      = flag.Int64("seed", 1, "variable-order seed")
+	stats     = flag.Bool("stats", false, "print solver statistics")
+	pts       = flag.Bool("pts", true, "print points-to sets")
+	onlyPtrs  = flag.Bool("only-nonempty", true, "print only non-empty points-to sets")
+	steensOpt = flag.Bool("steensgaard", false, "run the Steensgaard unification baseline instead")
+	gen       = flag.Int("gen", 0, "analyse a generated program of roughly N AST nodes instead of a file")
+	interval  = flag.Int("interval", 0, "sweep interval for -cycles periodic (0 = default)")
+	trace     = flag.Bool("trace", false, "print cycle collapses and sweeps as they happen")
+	dotOut    = flag.String("dot", "", "write the final constraint graph as Graphviz DOT to this file")
+	ptsDotOut = flag.String("pts-dot", "", "write the points-to graph as Graphviz DOT to this file")
+	aliasQ    = flag.String("alias", "", "answer a may-alias query: two location names separated by a comma")
+	jsonOut   = flag.String("json", "", "write the analysis report as JSON to this file ('-' for stdout)")
 
-		metricsOut = flag.String("metrics-out", "", "write Prometheus-text solver metrics to this file at exit")
-		traceOut   = flag.String("trace-out", "", "stream solver events as NDJSON to this file (closing record carries the final stats)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address (e.g. :6060); keeps serving after the run until interrupted")
-		logLevel   = flag.String("log-level", "info", "stderr diagnostic level: debug, info, warn, error")
-	)
+	metricsOut = flag.String("metrics-out", "", "write Prometheus-text solver metrics to this file at exit")
+	traceOut   = flag.String("trace-out", "", "stream solver events as NDJSON to this file (closing record carries the final stats)")
+	httpAddr   = flag.String("http", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address (e.g. :6060); keeps serving after the run until interrupted")
+	logLevel   = flag.String("log-level", "info", "stderr diagnostic level: debug, info, warn, error")
+)
+
+func main() {
 	flag.Parse()
 
 	level, err := telemetry.ParseLogLevel(*logLevel)
@@ -75,6 +86,25 @@ func main() {
 		fatal("%v", err)
 	}
 	logger = telemetry.NewLogger(os.Stderr, level)
+	opt := polce.Options{Seed: *seed, PeriodicInterval: *interval}
+	if opt.Form, err = polce.ParseForm(*form); err != nil {
+		fatal("%v", err)
+	}
+	if opt.Cycles, err = polce.ParseCyclePolicy(*cycles); err != nil {
+		fatal("%v", err)
+	}
+	// The input decides the front end: a constraint program is solved as
+	// written, anything else is C for Andersen's analysis.
+	arg := flag.Arg(0)
+	sclInput := *gen == 0 && flag.NArg() == 1 && (arg == "-" || strings.HasSuffix(arg, ".scl"))
+	if sclInput {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "pts", "only-nonempty", "steensgaard", "pts-dot", "alias", "json":
+				fatal("-%s applies to C input only", f.Name)
+			}
+		})
+	}
 
 	// Telemetry wiring: the registry and sink exist only when asked for,
 	// so the solver's hot-path hooks stay a single nil check otherwise.
@@ -86,6 +116,7 @@ func main() {
 	if *metricsOut != "" || *traceOut != "" || *httpAddr != "" {
 		reg = telemetry.NewRegistry()
 		sm = telemetry.NewSolverMetrics(reg)
+		opt.Metrics = sm
 		telemetry.PublishExpvar("polce", reg)
 	}
 	if *httpAddr != "" {
@@ -105,6 +136,100 @@ func main() {
 		}
 	}
 
+	var observers []func(polce.Event)
+	if *trace {
+		observers = append(observers, func(ev polce.Event) {
+			switch ev.Kind {
+			case polce.EventCycle:
+				logger.Info("cycle collapsed",
+					"vars", len(ev.Vars), "witness", ev.Witness.Name(), "work", ev.Work)
+			case polce.EventSweep:
+				logger.Info("sweep collapsed", "vars", ev.Collapsed, "work", ev.Work)
+			}
+		})
+	}
+	if tw != nil {
+		observers = append(observers, tw.Observe)
+	}
+	switch len(observers) {
+	case 0:
+	case 1:
+		opt.Observer = observers[0]
+	default:
+		opt.Observer = func(ev polce.Event) {
+			for _, o := range observers {
+				o(ev)
+			}
+		}
+	}
+
+	var sys *polce.Solver
+	if sclInput {
+		sys = solveSCL(arg, opt)
+	} else if sys = analyzeC(opt, sm); sys == nil {
+		return // the Steensgaard baseline builds no constraint graph
+	}
+	if n := sys.ErrorCount(); n > 0 {
+		logger.Warn("inconsistent constraints", "count", n, "first", sys.Errors()[0].Error())
+	}
+	if *dotOut != "" {
+		writeFile(*dotOut, sys.WriteDOT)
+	}
+
+	if sm != nil {
+		telemetry.PublishStats(reg, sys.Stats())
+	}
+	if tw != nil {
+		tw.WriteStats(sys.Stats())
+		n := tw.Events()
+		if err := tw.Close(); err != nil {
+			fatal("%v", err)
+		}
+		logger.Info("wrote trace", "path", *traceOut, "events", n)
+	}
+	if *metricsOut != "" {
+		writeFile(*metricsOut, reg.WritePrometheus)
+	}
+	if *httpAddr != "" {
+		logger.Info("run complete; still serving until interrupted", "addr", *httpAddr)
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		<-ch
+	}
+}
+
+// solveSCL solves the constraint program at path ("-" for stdin) and
+// prints the least solution of each of its queries.
+func solveSCL(path string, opt polce.Options) *polce.Solver {
+	var src []byte
+	var err error
+	if path == "-" {
+		src, err = io.ReadAll(os.Stdin)
+	} else {
+		src, err = os.ReadFile(path)
+	}
+	if err != nil {
+		fatal("%v", err)
+	}
+	file, err := scl.Parse(string(src))
+	if err != nil {
+		fatal("%v", err)
+	}
+	solved := file.Solve(opt)
+	for _, line := range solved.QueryResults() {
+		fmt.Println(line)
+	}
+	if *stats {
+		fmt.Printf("\n%s / %s  %s\n", opt.Form, opt.Cycles, solved.Sys.Stats())
+		fmt.Printf("final-edges=%d\n", solved.Sys.TotalEdges())
+	}
+	return solved.Sys
+}
+
+// analyzeC runs Andersen's analysis on the -gen program or the C file
+// named on the command line and prints its results. It returns nil when
+// -steensgaard ran the unification baseline instead.
+func analyzeC(opt polce.Options, sm *telemetry.SolverMetrics) *polce.Solver {
 	var src, name string
 	switch {
 	case *gen > 0:
@@ -136,62 +261,14 @@ func main() {
 
 	if *steensOpt {
 		runSteensgaard(file, *pts, *onlyPtrs)
-		return
-	}
-
-	opts := andersen.Options{Seed: *seed, PeriodicInterval: *interval}
-	if sm != nil {
-		opts.Metrics = sm
-	}
-	var observers []func(polce.Event)
-	if *trace {
-		observers = append(observers, func(ev polce.Event) {
-			switch ev.Kind {
-			case polce.EventCycle:
-				logger.Info("cycle collapsed",
-					"vars", len(ev.Vars), "witness", ev.Witness.Name(), "work", ev.Work)
-			case polce.EventSweep:
-				logger.Info("sweep collapsed", "vars", ev.Collapsed, "work", ev.Work)
-			}
-		})
-	}
-	if tw != nil {
-		observers = append(observers, tw.Observe)
-	}
-	switch len(observers) {
-	case 0:
-	case 1:
-		opts.Observer = observers[0]
-	default:
-		opts.Observer = func(ev polce.Event) {
-			for _, o := range observers {
-				o(ev)
-			}
-		}
-	}
-	switch strings.ToLower(*form) {
-	case "sf":
-		opts.Form = polce.SF
-	case "if":
-		opts.Form = polce.IF
-	default:
-		fatal("unknown form %q (sf, if)", *form)
-	}
-	switch strings.ToLower(*cycles) {
-	case "none", "plain":
-		opts.Cycles = polce.CycleNone
-	case "online":
-		opts.Cycles = polce.CycleOnline
-	case "online-incr", "incr":
-		opts.Cycles = polce.CycleOnlineIncreasing
-	case "periodic":
-		opts.Cycles = polce.CyclePeriodic
-	default:
-		fatal("unknown cycle policy %q (none, online, online-incr, periodic)", *cycles)
+		return nil
 	}
 
 	start := time.Now()
-	res := andersen.Analyze(file, opts)
+	res := andersen.Analyze(file, andersen.Options{
+		Form: opt.Form, Cycles: opt.Cycles, Seed: opt.Seed, PeriodicInterval: opt.PeriodicInterval,
+		Observer: opt.Observer, Metrics: opt.Metrics,
+	})
 	if sm != nil {
 		// The closure share was accumulated by the solver's drain hook;
 		// constraint-gen is the analysis remainder.
@@ -209,16 +286,13 @@ func main() {
 	}
 	if *stats {
 		st := res.Sys.Stats()
-		fmt.Printf("\n%s / %s  time=%v\n", opts.Form, opts.Cycles, elapsed)
+		fmt.Printf("\n%s / %s  time=%v\n", opt.Form, opt.Cycles, elapsed)
 		fmt.Printf("  ast-nodes=%d loc=%d\n", cgen.CountNodes(file), cgen.CountLines(src))
 		fmt.Printf("  %s\n", st)
 		fmt.Printf("  final-edges=%d points-to-edges=%d\n", res.Sys.TotalEdges(), res.PointsToEdges())
 		if st.CycleSearches > 0 {
 			fmt.Printf("  visits/search=%.2f (Theorem 5.2 predicts ≈2.2 at density 2/n)\n", st.VisitsPerSearch())
 		}
-	}
-	if n := res.Sys.ErrorCount(); n > 0 {
-		logger.Warn("inconsistent constraints", "count", n, "first", res.Sys.Errors()[0].Error())
 	}
 
 	if *aliasQ != "" {
@@ -233,11 +307,8 @@ func main() {
 		}
 		fmt.Printf("may-alias(%s, %s) = %v\n", a.Name, b.Name, res.MayAlias(a, b))
 	}
-	if *dotOut != "" {
-		writeDOT(*dotOut, res.Sys.WriteDOT)
-	}
 	if *ptsDotOut != "" {
-		writeDOT(*ptsDotOut, res.WriteDOT)
+		writeFile(*ptsDotOut, res.WriteDOT)
 	}
 	if *jsonOut != "" {
 		if *jsonOut == "-" {
@@ -245,34 +316,14 @@ func main() {
 				fatal("%v", err)
 			}
 		} else {
-			writeDOT(*jsonOut, func(w io.Writer) error { return res.WriteJSON(w, false) })
+			writeFile(*jsonOut, func(w io.Writer) error { return res.WriteJSON(w, false) })
 		}
 	}
-
-	if sm != nil {
-		telemetry.PublishStats(reg, res.Sys.Stats())
-	}
-	if tw != nil {
-		tw.WriteStats(res.Sys.Stats())
-		n := tw.Events()
-		if err := tw.Close(); err != nil {
-			fatal("%v", err)
-		}
-		logger.Info("wrote trace", "path", *traceOut, "events", n)
-	}
-	if *metricsOut != "" {
-		writeDOT(*metricsOut, reg.WritePrometheus)
-	}
-	if *httpAddr != "" {
-		logger.Info("run complete; still serving until interrupted", "addr", *httpAddr)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-	}
+	return res.Sys
 }
 
-// writeDOT writes a DOT rendering to path via render.
-func writeDOT(path string, render func(io.Writer) error) {
+// writeFile writes a rendering to path via render.
+func writeFile(path string, render func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal("%v", err)

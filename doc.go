@@ -27,11 +27,11 @@
 // constraint language for driving the solver standalone (internal/scl),
 // and the snapshot-backed HTTP constraint service (internal/serve).
 //
-// Entry points: cmd/polce analyses one C file; cmd/polce-bench regenerates
-// the paper's tables, figures, ablations and diagnostics; cmd/polce-solve
-// runs the solver on .scl constraint programs; cmd/polce-serve serves the
-// solver as a JSON HTTP API; cmd/polce-benchmark times four end-to-end
-// workloads, the service and retraction included. The runnable examples
-// under examples/ tour the API. The benchmarks in bench_test.go exercise
-// one table or figure each.
+// Entry points: cmd/polce analyses one C file or solves one .scl
+// constraint program; cmd/polce-bench regenerates the paper's tables,
+// figures, ablations and diagnostics; cmd/polce-serve serves the solver as
+// a JSON HTTP API and audits its constraint log offline;
+// cmd/polce-benchmark times four end-to-end workloads, the service and
+// retraction included. The runnable examples under examples/ tour the
+// API. The benchmarks in bench_test.go exercise one table or figure each.
 package polce

@@ -235,8 +235,8 @@ func runOne(p *program, exp Experiment, oracle *polce.Oracle, opt Options, repea
 		}
 		// Settle the heap before timing so a cell is not charged for
 		// collecting the previous cell's (or repeat's) floating garbage —
-		// with sequential workers the grid otherwise bleeds GC tax from
-		// each cell into the next, drowning small deltas on large cells.
+		// run back to back, cells otherwise bleed GC tax into the next,
+		// drowning small deltas on large cells.
 		runtime.GC()
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)

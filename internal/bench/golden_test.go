@@ -33,9 +33,9 @@ type goldenCounters struct {
 	LSUnionHitRate float64 `json:"ls_union_hit_rate"`
 }
 
-// TestCountersMatchGolden solves every suite program up to 9000 AST nodes
-// under SF-Online and IF-Online and compares each cell's deterministic
-// fields with testdata/counters.json.
+// TestCountersMatchGolden solves every suite program up to 17,000 AST
+// nodes under SF-Online and IF-Online, one cell after another, and
+// compares each cell's deterministic fields with testdata/counters.json.
 // Unlike the determinism tests, which compare two runs of one binary,
 // the golden pins the counters across commits.
 //
@@ -46,31 +46,30 @@ func TestCountersMatchGolden(t *testing.T) {
 		e, _ := ExperimentByName(name)
 		exps = append(exps, e)
 	}
-	cells := Grid(SuiteUpTo(9000), exps, []polce.OrderStrategy{polce.OrderRandom}, []int64{1})
-	for i := range cells {
-		cells[i].Seed = CellSeed(1, cells[i])
-	}
-	results := RunParallel(cells, ParallelOptions{Phases: true})
-	got := make([]goldenCounters, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("cell %d (%s/%s): %v", i, r.Cell.Bench.Name, r.Cell.Exp.Name, r.Err)
+	cells := Grid(SuiteUpTo(17000), exps, []polce.OrderStrategy{polce.OrderRandom}, []int64{1})
+	got := make([]goldenCounters, len(cells))
+	for i, c := range cells {
+		c.Seed = CellSeed(1, c)
+		p, err := load(c.Bench)
+		if err != nil {
+			t.Fatalf("cell %d (%s/%s): %v", i, c.Bench.Name, c.Exp.Name, err)
 		}
+		r := runOne(p, c.Exp, nil, Options{Seed: c.Seed, Order: c.Order, Phases: true}, 1)
 		got[i] = goldenCounters{
-			Benchmark:      r.Cell.Bench.Name,
-			Experiment:     r.Cell.Exp.Name,
-			Seed:           r.Cell.Seed,
-			Edges:          r.Run.Edges,
-			Work:           r.Run.Work,
-			Redundant:      r.Run.Redundant,
-			Eliminated:     r.Run.Eliminated,
-			Searches:       r.Run.Searches,
-			Visits:         r.Run.Visits,
-			DepthP50:       r.Run.DepthP50,
-			DepthP90:       r.Run.DepthP90,
-			DepthMax:       r.Run.DepthMax,
-			LSLevels:       r.Run.LSLevels,
-			LSUnionHitRate: r.Run.LSUnionHitRate,
+			Benchmark:      c.Bench.Name,
+			Experiment:     c.Exp.Name,
+			Seed:           c.Seed,
+			Edges:          r.Edges,
+			Work:           r.Work,
+			Redundant:      r.Redundant,
+			Eliminated:     r.Eliminated,
+			Searches:       r.Searches,
+			Visits:         r.Visits,
+			DepthP50:       r.DepthP50,
+			DepthP90:       r.DepthP90,
+			DepthMax:       r.DepthMax,
+			LSLevels:       r.LSLevels,
+			LSUnionHitRate: r.LSUnionHitRate,
 		}
 	}
 

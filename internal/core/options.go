@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+)
 
 // MetricsSink receives per-operation solver measurements as they happen.
 // It is the distribution-level counterpart of Options.Observer: where the
@@ -122,6 +126,70 @@ func (p CyclePolicy) String() string {
 		return "Periodic"
 	}
 	return "?"
+}
+
+// spelling lists the command-line names of one value, flag name first.
+type spelling[T fmt.Stringer] struct {
+	value T
+	names []string
+}
+
+// formNames and policyNames are the one list behind ParseForm,
+// ParseCyclePolicy and the -form/-cycles flag help. CycleOracle has no
+// entry: no command line can supply the Oracle it needs.
+var (
+	formNames = []spelling[Form]{
+		{SF, []string{"sf"}},
+		{IF, []string{"if"}},
+	}
+	policyNames = []spelling[CyclePolicy]{
+		{CycleNone, []string{"none", "plain"}},
+		{CycleOnline, []string{"online"}},
+		{CycleOnlineIncreasing, []string{"online-incr", "incr"}},
+		{CyclePeriodic, []string{"periodic"}},
+	}
+)
+
+// ParseForm parses a graph form as the commands spell it ("sf", "if")
+// or as Form.String renders it, in any case.
+func ParseForm(s string) (Form, error) { return parseName("form", s, formNames) }
+
+// ParseCyclePolicy parses a cycle policy as the commands spell it
+// ("none", "plain", "online", "online-incr", "incr", "periodic") or as
+// CyclePolicy.String renders it, in any case. It rejects CycleOracle.
+func ParseCyclePolicy(s string) (CyclePolicy, error) {
+	return parseName("cycle policy", s, policyNames)
+}
+
+// FormNames lists the flag name of every form ParseForm accepts, for
+// flag help.
+func FormNames() string { return flagNames(formNames) }
+
+// CyclePolicyNames lists the flag name of every policy ParseCyclePolicy
+// accepts, for flag help.
+func CyclePolicyNames() string { return flagNames(policyNames) }
+
+func parseName[T fmt.Stringer](kind, s string, table []spelling[T]) (T, error) {
+	for _, e := range table {
+		if strings.EqualFold(s, e.value.String()) {
+			return e.value, nil
+		}
+		for _, n := range e.names {
+			if strings.EqualFold(s, n) {
+				return e.value, nil
+			}
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("polce: unknown %s %q (want %s)", kind, s, flagNames(table))
+}
+
+func flagNames[T fmt.Stringer](table []spelling[T]) string {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.names[0]
+	}
+	return strings.Join(names, ", ")
 }
 
 // OrderStrategy selects how the total order o(·) is assigned to fresh

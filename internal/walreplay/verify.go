@@ -1,4 +1,4 @@
-package bench
+package walreplay
 
 import (
 	"encoding/json"
@@ -8,44 +8,32 @@ import (
 	"path/filepath"
 
 	"polce/internal/wal"
-	"polce/internal/walreplay"
 )
 
-// WALVerifyOptions configures RunWALVerify.
-type WALVerifyOptions struct {
-	// Dir is the constraint-log directory (the -wal directory of a
-	// polce-serve run).
-	Dir string
-	// ManifestPath is where the reference manifest lives. Empty means
-	// <Dir>/manifest.json. A missing manifest is recorded (first run); an
-	// existing one is compared against (subsequent runs).
-	ManifestPath string
-	// Samples bounds the least solutions recorded in the manifest (0 = 64).
-	Samples int
-}
-
-// RunWALVerify replays a constraint log standalone — same parse → lower →
-// solve path the server uses, under the options pinned in the log's meta —
-// and fingerprints the recovered graph: version, partition signature,
-// sampled least solutions, mutation counters. On the first run the
-// fingerprint is recorded as the manifest; on later runs it is compared
-// field by field, and any divergence (a lost frame, a reordered batch, a
-// mismatched seed) fails with the exact mismatches. Replay is read-only on
-// the log: a torn tail is reported, not truncated.
-func RunWALVerify(out io.Writer, o WALVerifyOptions) error {
-	meta, err := wal.ReadMeta(o.Dir)
+// Verify audits the constraint log in dir (the -wal directory of a
+// polce-serve run): it replays the log standalone — same parse → lower →
+// solve path the server uses, under the options pinned in the log's meta
+// — and fingerprints the recovered graph: version, partition signature,
+// up to 64 sampled least solutions, mutation counters. The manifest lives
+// at manifestPath, or <dir>/manifest.json when that is empty. On the
+// first run the fingerprint is recorded as the manifest; on later runs it
+// is compared field by field, and any divergence (a lost frame, a
+// reordered batch, a mismatched seed) fails with the exact mismatches.
+// Replay is read-only on the log: a torn tail is reported, not truncated.
+func Verify(out io.Writer, dir, manifestPath string) error {
+	meta, err := wal.ReadMeta(dir)
 	if err != nil {
 		return fmt.Errorf("reading log meta: %w", err)
 	}
-	opt, err := walreplay.OptionsFromMeta(meta)
+	opt, err := OptionsFromMeta(meta)
 	if err != nil {
 		return err
 	}
-	rec, err := wal.ReadDir(o.Dir)
+	rec, err := wal.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("scanning log: %w", err)
 	}
-	fmt.Fprintf(out, "wal-verify: %s\n", o.Dir)
+	fmt.Fprintf(out, "wal-verify: %s\n", dir)
 	fmt.Fprintf(out, "  options:  form=%s cycles=%s seed=%s\n", meta["form"], meta["cycles"], meta["seed"])
 	fmt.Fprintf(out, "  log:      %d frames, %d bytes, last seq %d\n", len(rec.Frames), rec.Bytes, rec.LastSeq)
 	if rec.TruncatedBytes > 0 {
@@ -53,11 +41,11 @@ func RunWALVerify(out io.Writer, o WALVerifyOptions) error {
 			rec.TruncatedBytes)
 	}
 
-	solver, _, constraints, err := walreplay.Replay(rec.Frames, opt)
+	solver, _, constraints, err := Replay(rec.Frames, opt)
 	if err != nil {
 		return err
 	}
-	m := walreplay.Fingerprint(solver, o.Samples)
+	m := Fingerprint(solver, 64)
 	m.Options = meta
 	m.Frames = len(rec.Frames)
 	m.LastSeq = rec.LastSeq
@@ -70,9 +58,9 @@ func RunWALVerify(out io.Writer, o WALVerifyOptions) error {
 	}
 	fmt.Fprintf(out, "  partition: %s (%d LS samples)\n", m.PartitionSig, len(m.Samples))
 
-	path := o.ManifestPath
+	path := manifestPath
 	if path == "" {
-		path = filepath.Join(o.Dir, "manifest.json")
+		path = filepath.Join(dir, "manifest.json")
 	}
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -90,7 +78,7 @@ func RunWALVerify(out io.Writer, o WALVerifyOptions) error {
 	if err != nil {
 		return fmt.Errorf("reading manifest: %w", err)
 	}
-	var want walreplay.Manifest
+	var want Manifest
 	if err := json.Unmarshal(raw, &want); err != nil {
 		return fmt.Errorf("decoding manifest %s: %w", path, err)
 	}

@@ -1,4 +1,4 @@
-package bench
+package walreplay_test
 
 import (
 	"bytes"
@@ -17,10 +17,12 @@ import (
 	"polce/internal/walreplay"
 )
 
-// TestWALVerifyRetractHeavy runs the offline log audit over a log in which
-// half the batches were retracted: the manifest must record the retraction
-// counters, and a second verification pass against the recorded manifest
-// must find the replay deterministic.
+// TestWALVerifyRetractHeavy runs the offline log audit over a log that a
+// live server wrote and in which half the batches were retracted: the
+// manifest must record the retraction counters, and a second verification
+// pass against the recorded manifest must find the replay deterministic.
+// It is an external test because it drives internal/serve, which imports
+// walreplay.
 func TestWALVerifyRetractHeavy(t *testing.T) {
 	opt := polce.Options{Form: polce.IF, Cycles: polce.CycleOnline, Seed: 7, Retractable: true}
 	dir := t.TempDir()
@@ -71,7 +73,7 @@ func TestWALVerifyRetractHeavy(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := RunWALVerify(&out, WALVerifyOptions{Dir: dir}); err != nil {
+	if err := walreplay.Verify(&out, dir, ""); err != nil {
 		t.Fatalf("record pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "retracted: 5 batches") {
@@ -91,7 +93,7 @@ func TestWALVerifyRetractHeavy(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := RunWALVerify(&out, WALVerifyOptions{Dir: dir}); err != nil {
+	if err := walreplay.Verify(&out, dir, ""); err != nil {
 		t.Fatalf("verify pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "manifest OK") {

@@ -1,6 +1,6 @@
 // Package walreplay replays a constraint log standalone — outside any
 // server — and fingerprints the graph it reconstructs. It is the
-// substrate of `polce-bench -wal-verify` and of the crash-recovery
+// substrate of `polce-serve -wal-verify` (Verify) and of the crash-recovery
 // equivalence tests: replay the frames through the normal parse → lower →
 // solve path, then compare the recovered graph's manifest (version,
 // partition signature, sampled least solutions, mutation-path counters)
@@ -40,25 +40,12 @@ func OptionsMeta(opt polce.Options) map[string]string {
 // OptionsFromMeta reconstructs solver options from a recorded meta map.
 func OptionsFromMeta(meta map[string]string) (polce.Options, error) {
 	var opt polce.Options
-	switch meta["form"] {
-	case "SF":
-		opt.Form = polce.SF
-	case "IF":
-		opt.Form = polce.IF
-	default:
-		return opt, fmt.Errorf("walreplay: meta has unknown form %q", meta["form"])
+	var err error
+	if opt.Form, err = polce.ParseForm(meta["form"]); err != nil {
+		return opt, fmt.Errorf("walreplay: meta: %w", err)
 	}
-	switch meta["cycles"] {
-	case "Plain":
-		opt.Cycles = polce.CycleNone
-	case "Online":
-		opt.Cycles = polce.CycleOnline
-	case "Online+Incr":
-		opt.Cycles = polce.CycleOnlineIncreasing
-	case "Periodic":
-		opt.Cycles = polce.CyclePeriodic
-	default:
-		return opt, fmt.Errorf("walreplay: meta has unknown cycle policy %q", meta["cycles"])
+	if opt.Cycles, err = polce.ParseCyclePolicy(meta["cycles"]); err != nil {
+		return opt, fmt.Errorf("walreplay: meta: %w", err)
 	}
 	seed, err := strconv.ParseInt(meta["seed"], 10, 64)
 	if err != nil {

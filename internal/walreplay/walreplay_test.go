@@ -153,23 +153,32 @@ func TestReplaySkipsInvalidRetract(t *testing.T) {
 }
 
 // TestMetaAndRetractTextRoundTrip checks that the replay-relevant options
-// and retract frame texts survive their log encodings.
+// and retract frame texts survive their log encodings: every form under
+// every policy a log can record (a retractable solver forbids periodic
+// sweeps), while the oracle policy, which no log can supply an Oracle
+// for, is rejected.
 func TestMetaAndRetractTextRoundTrip(t *testing.T) {
-	for _, o := range []polce.Options{
-		opt,
-		{Form: polce.SF, Cycles: polce.CycleNone, Seed: -3},
-		{Form: polce.IF, Cycles: polce.CycleOnlineIncreasing, Seed: 1 << 40},
-	} {
-		got, err := OptionsFromMeta(OptionsMeta(o))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Form != o.Form || got.Cycles != o.Cycles || got.Seed != o.Seed || got.Retractable != o.Retractable {
-			t.Fatalf("options %+v came back as %+v", o, got)
+	for _, form := range []polce.Form{polce.SF, polce.IF} {
+		for _, cycles := range []polce.CyclePolicy{polce.CycleNone, polce.CycleOnline, polce.CycleOnlineIncreasing, polce.CyclePeriodic} {
+			for _, seed := range []int64{-3, 5, 1 << 40} {
+				o := polce.Options{Form: form, Cycles: cycles, Seed: seed, Retractable: cycles != polce.CyclePeriodic && seed > 0}
+				got, err := OptionsFromMeta(OptionsMeta(o))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Form != o.Form || got.Cycles != o.Cycles || got.Seed != o.Seed || got.Retractable != o.Retractable {
+					t.Fatalf("options %+v came back as %+v", o, got)
+				}
+			}
 		}
 	}
-	if _, err := OptionsFromMeta(map[string]string{"form": "XF", "cycles": "Online", "seed": "1"}); err == nil {
-		t.Fatal("unknown form accepted")
+	for _, meta := range []map[string]string{
+		OptionsMeta(polce.Options{Form: polce.IF, Cycles: polce.CycleOracle, Seed: 1}),
+		{"form": "XF", "cycles": "Online", "seed": "1"},
+	} {
+		if got, err := OptionsFromMeta(meta); err == nil {
+			t.Fatalf("meta %v accepted as %+v", meta, got)
+		}
 	}
 	for _, seqs := range [][]uint64{nil, {7}, {3, 12, 40}} {
 		got, err := ParseRetractText(FormatRetractText(seqs))

@@ -184,3 +184,36 @@ func TestInitialGraphFacade(t *testing.T) {
 		t.Fatalf("initial graph propagated: vv=%d src=%d", vv, src)
 	}
 }
+
+// TestParseFormAndCyclePolicy pins the names every command accepts for
+// -form and -cycles, in any case, and the ones it must refuse.
+func TestParseFormAndCyclePolicy(t *testing.T) {
+	forms := map[string]polce.Form{"sf": polce.SF, "SF": polce.SF, "If": polce.IF}
+	for s, want := range forms {
+		if got, err := polce.ParseForm(s); err != nil || got != want {
+			t.Errorf("ParseForm(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	policies := map[string]polce.CyclePolicy{
+		"none": polce.CycleNone, "Plain": polce.CycleNone,
+		"ONLINE":      polce.CycleOnline,
+		"online-incr": polce.CycleOnlineIncreasing, "incr": polce.CycleOnlineIncreasing,
+		"Online+Incr": polce.CycleOnlineIncreasing,
+		"periodic":    polce.CyclePeriodic,
+	}
+	for s, want := range policies {
+		if got, err := polce.ParseCyclePolicy(s); err != nil || got != want {
+			t.Errorf("ParseCyclePolicy(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "xf", "sf "} {
+		if got, err := polce.ParseForm(s); err == nil {
+			t.Errorf("ParseForm(%q) accepted as %v", s, got)
+		}
+	}
+	for _, s := range []string{"", "oracle", "Oracle", "?"} {
+		if got, err := polce.ParseCyclePolicy(s); err == nil {
+			t.Errorf("ParseCyclePolicy(%q) accepted as %v", s, got)
+		}
+	}
+}

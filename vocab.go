@@ -95,6 +95,16 @@ var (
 	One  = core.One
 )
 
+// ParseForm parses a graph form, case-insensitively: "sf" or "if", or
+// either value's String.
+func ParseForm(s string) (Form, error) { return core.ParseForm(s) }
+
+// ParseCyclePolicy parses a cycle policy, case-insensitively: "none" (or
+// "plain"), "online", "online-incr" (or "incr"), "periodic", or any of
+// these values' String. It rejects CycleOracle, whose Options.Oracle no
+// name can supply.
+func ParseCyclePolicy(s string) (CyclePolicy, error) { return core.ParseCyclePolicy(s) }
+
 // NewConstructor returns a fresh constructor with the given name and
 // per-argument variance signature.
 func NewConstructor(name string, sig ...Variance) *Constructor {
