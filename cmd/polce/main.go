@@ -29,9 +29,10 @@
 //
 // The telemetry flags instrument the inclusion-constraint solver path:
 // phase timers (parse, constraint-gen, closure, least-solution), search
-// depth / collapse size / worklist histograms, and edge-attempt counters
-// with a redundant-edge ratio gauge. On a constraint program only the
-// solver's own phases (closure, least-solution) are timed.
+// depth / collapse size histograms, the worklist high-water mark, and
+// edge-attempt counters with a redundant-edge ratio gauge. On a
+// constraint program only the solver's own phases (closure,
+// least-solution) are timed.
 package main
 
 import (
@@ -113,10 +114,9 @@ func main() {
 		sm  *telemetry.SolverMetrics
 		tw  *telemetry.TraceWriter
 	)
-	if *metricsOut != "" || *traceOut != "" || *httpAddr != "" {
+	if *metricsOut != "" || *traceOut != "" || *httpAddr != "" || *trace {
 		reg = telemetry.NewRegistry()
 		sm = telemetry.NewSolverMetrics(reg)
-		opt.Metrics = sm
 		telemetry.PublishExpvar("polce", reg)
 	}
 	if *httpAddr != "" {
@@ -136,31 +136,8 @@ func main() {
 		}
 	}
 
-	var observers []func(polce.Event)
-	if *trace {
-		observers = append(observers, func(ev polce.Event) {
-			switch ev.Kind {
-			case polce.EventCycle:
-				logger.Info("cycle collapsed",
-					"vars", len(ev.Vars), "witness", ev.Witness.Name(), "work", ev.Work)
-			case polce.EventSweep:
-				logger.Info("sweep collapsed", "vars", ev.Collapsed, "work", ev.Work)
-			}
-		})
-	}
-	if tw != nil {
-		observers = append(observers, tw.Observe)
-	}
-	switch len(observers) {
-	case 0:
-	case 1:
-		opt.Observer = observers[0]
-	default:
-		opt.Observer = func(ev polce.Event) {
-			for _, o := range observers {
-				o(ev)
-			}
-		}
+	if sm != nil {
+		opt.Metrics = &cliSink{SolverMetrics: sm, tw: tw, log: *trace}
 	}
 
 	var sys *polce.Solver
@@ -178,6 +155,8 @@ func main() {
 
 	if sm != nil {
 		telemetry.PublishStats(reg, sys.Stats())
+		reg.Gauge("polce_core_worklist_hwm", "high-water mark of the closure worklist").
+			Set(float64(sys.StorageStats().WorklistHWM))
 	}
 	if tw != nil {
 		tw.WriteStats(sys.Stats())
@@ -195,6 +174,33 @@ func main() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
+	}
+}
+
+// cliSink is the solver's one hook under any telemetry flag: the metrics,
+// plus the -trace-out trace and the -trace log.
+type cliSink struct {
+	*telemetry.SolverMetrics
+	tw  *telemetry.TraceWriter // nil without -trace-out
+	log bool                   // -trace
+}
+
+func (s *cliSink) Edge(kind polce.EventKind, from, to polce.Expr, work int64) {
+	if s.tw != nil {
+		s.tw.Observe(polce.Event{Kind: kind, From: from, To: to, Work: work})
+	}
+}
+
+func (s *cliSink) Event(ev polce.Event) {
+	s.SolverMetrics.Event(ev)
+	if s.tw != nil {
+		s.tw.Observe(ev)
+	}
+	switch {
+	case s.log && ev.Kind == polce.EventCycle:
+		logger.Info("cycle collapsed", "vars", len(ev.Vars), "witness", ev.Witness.Name(), "work", ev.Work)
+	case s.log && ev.Kind == polce.EventSweep:
+		logger.Info("sweep collapsed", "vars", ev.Collapsed, "work", ev.Work)
 	}
 }
 
@@ -267,7 +273,7 @@ func analyzeC(opt polce.Options, sm *telemetry.SolverMetrics) *polce.Solver {
 	start := time.Now()
 	res := andersen.Analyze(file, andersen.Options{
 		Form: opt.Form, Cycles: opt.Cycles, Seed: opt.Seed, PeriodicInterval: opt.PeriodicInterval,
-		Observer: opt.Observer, Metrics: opt.Metrics,
+		Metrics: opt.Metrics,
 	})
 	if sm != nil {
 		// The closure share was accumulated by the solver's drain hook;

@@ -68,10 +68,8 @@ type Options struct {
 	// PeriodicInterval configures polce.CyclePeriodic (0 = solver
 	// default).
 	PeriodicInterval int
-	// Observer receives solver events; see polce.Options.Observer.
-	Observer func(polce.Event)
-	// Metrics receives per-operation solver measurements; see
-	// polce.Options.Metrics.
+	// Metrics receives solver events and per-operation measurements;
+	// see polce.Options.Metrics.
 	Metrics polce.MetricsSink
 }
 
@@ -165,7 +163,6 @@ func Analyze(file *cgen.File, opts Options) *Result {
 		Seed:             opts.Seed,
 		Oracle:           opts.Oracle,
 		PeriodicInterval: opts.PeriodicInterval,
-		Observer:         opts.Observer,
 		Metrics:          opts.Metrics,
 	})
 	return analyzeInto(file, sys, opts)

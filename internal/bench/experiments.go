@@ -153,8 +153,8 @@ type Options struct {
 	// Phases installs a telemetry sink in every timed run, recording the
 	// closure/least-solution phase breakdown and the search-depth
 	// distribution summaries (Run.ClosureTime, Run.DepthP50/P90/Max).
-	// The hooks add a small constant per edge addition, so leave this
-	// off when reproducing the paper's timing tables exactly.
+	// The sink costs an empty call per new edge and a histogram update
+	// per cycle search and collapse, nothing per redundant attempt.
 	Phases bool
 }
 

@@ -185,12 +185,7 @@ func (s *System) collapse(nodes []*Var) {
 		// consumers holding a now-forwarded predecessor reach it through
 		// the witness when the next pass canonicalises their adjacency.
 		s.markLS(witness)
-		if s.opt.Metrics != nil {
-			s.opt.Metrics.Collapse(len(merged))
-		}
-		if s.opt.Observer != nil {
-			s.emit(Event{Kind: EventCycle, Witness: witness, Vars: merged, Collapsed: len(merged)})
-		}
+		s.emit(Event{Kind: EventCycle, Witness: witness, Vars: merged, Collapsed: len(merged)})
 	}
 }
 

@@ -1,6 +1,6 @@
 package core
 
-// EventKind classifies solver events delivered to Options.Observer.
+// EventKind classifies solver events delivered to Options.Metrics.
 type EventKind int
 
 const (
@@ -33,8 +33,9 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one solver occurrence, delivered synchronously to the observer.
-// The observer must not mutate the system or retain the Vars slice.
+// Event is one solver occurrence: a collapse or sweep, delivered to
+// MetricsSink.Event, or a new edge, whose fields MetricsSink.Edge takes as
+// arguments. The sink must not mutate the system or retain the Vars slice.
 type Event struct {
 	Kind EventKind
 
@@ -46,7 +47,7 @@ type Event struct {
 	// Witness is the surviving variable of a collapse; Vars are the
 	// variables merged into it (EventCycle), or nil for sweeps. The
 	// slice is freshly allocated per event: the solver neither retains
-	// nor mutates it after delivery (the observer-side contract is the
+	// nor mutates it after delivery (the sink-side contract is the
 	// converse — do not retain it into later solver activity).
 	Witness *Var
 	Vars    []*Var
@@ -60,10 +61,10 @@ type Event struct {
 	Work int64
 }
 
-// emit delivers an event if an observer is installed.
+// emit delivers an event if a sink is installed.
 func (s *System) emit(ev Event) {
-	if s.opt.Observer != nil {
+	if s.opt.Metrics != nil {
 		ev.Work = s.stats.Work
-		s.opt.Observer(ev)
+		s.opt.Metrics.Event(ev)
 	}
 }

@@ -6,30 +6,27 @@ import (
 	"time"
 )
 
-// MetricsSink receives per-operation solver measurements as they happen.
-// It is the distribution-level counterpart of Options.Observer: where the
-// observer delivers discrete events, the sink records the per-operation
-// costs — search depth, collapse size, worklist pressure — that exist only
-// as aggregates in Stats. internal/telemetry.SolverMetrics is the standard
+// MetricsSink is the solver's one hook channel: solver events and
+// per-operation measurements, as they happen; Stats and StorageStats are
+// the pull side. internal/telemetry.SolverMetrics is the standard
 // implementation. Hooks fire on the solver's hot path, so implementations
 // must be cheap; a nil Options.Metrics costs one branch per hook site.
 type MetricsSink interface {
-	// EdgeAttempt fires on every attempted edge addition (each Work
-	// increment); redundant reports whether the edge was already present.
-	EdgeAttempt(redundant bool)
+	// Edge fires on every new edge, never on a redundant attempt; kind,
+	// from, to and work are as in Event.
+	Edge(kind EventKind, from, to Expr, work int64)
+	// Event delivers an EventCycle after each collapse (a sweep's
+	// components included) and an EventSweep after each periodic sweep.
+	Event(ev Event)
 	// CycleSearch fires after each online closing-chain search with the
 	// number of nodes visited — the per-search distribution behind
 	// Theorem 5.2, which Stats collapses to the VisitsPerSearch mean.
 	CycleSearch(visits int)
-	// Collapse fires after each collapse with the number of variables
-	// merged away, for online cycles and periodic sweeps alike.
-	Collapse(merged int)
-	// WorklistLen samples the pending-constraint worklist length every
-	// worklistSampleInterval steps.
-	WorklistLen(n int)
-	// ClosureDone reports the wall-clock time one closure drain took —
-	// the solver-side share of a client's constraint-generation phase.
-	ClosureDone(d time.Duration)
+	// ClosureDone reports one top-level closure drain's wall-clock time
+	// and the increase in Stats.Work and Stats.Redundant since the
+	// previous ClosureDone; Work outside a top-level drain (retraction
+	// replays, CollapseCycles) counts at the next one.
+	ClosureDone(d time.Duration, work, redundant int64)
 	// LeastSolutionDone fires after each inductive-form least-solution
 	// pass with its shape and cost; see LSPass.
 	LeastSolutionDone(p LSPass)
@@ -240,21 +237,15 @@ type Options struct {
 	// PeriodicInterval is the number of edge additions between offline
 	// sweeps under CyclePeriodic. Zero means 1000.
 	PeriodicInterval int
-	// Observer, when non-nil, receives solver events (edge insertions,
-	// cycle collapses, sweeps) as they happen. Intended for traces,
-	// visualisation and tests; it must not mutate the system.
-	Observer func(Event)
-	// Metrics, when non-nil, receives per-operation measurements (edge
-	// attempts, search depths, collapse sizes, worklist samples, closure
-	// times); see MetricsSink. It must not mutate the system.
+	// Metrics, when non-nil, receives solver events and per-operation
+	// measurements; see MetricsSink. It must not mutate the system.
 	Metrics MetricsSink
 	// Retractable enables constraint retraction: every batch added
 	// between BeginBatch/EndBatch is recorded (constraints and variable
 	// footprint) so RetractBatches can later remove it and rebuild only
 	// the entangled dirty cone. Off by default: tracking costs memory
 	// proportional to the added constraints and a branch per edge
-	// attempt, and a non-retractable system's behavior is bit-identical
-	// to previous releases.
+	// attempt; it only records, so the graph it builds is the same.
 	// Incompatible with CyclePeriodic (NewSystem panics), whose global
 	// sweeps couple otherwise-independent batches.
 	Retractable bool

@@ -67,7 +67,7 @@ func TestObserverEvents(t *testing.T) {
 	var collapsedVars int
 	s := NewSystem(Options{
 		Form: IF, Cycles: CycleOnline, Seed: 2,
-		Observer: func(ev Event) {
+		Metrics: &recordingSink{on: func(ev Event) {
 			kinds = append(kinds, ev.Kind)
 			if ev.Kind == EventCycle {
 				collapsedVars += len(ev.Vars)
@@ -75,7 +75,7 @@ func TestObserverEvents(t *testing.T) {
 					t.Error("cycle event without witness")
 				}
 			}
-		},
+		}},
 	})
 	a := atoms(1)
 	x := s.Fresh("X")
@@ -103,11 +103,11 @@ func TestObserverSweepEvent(t *testing.T) {
 	sweeps := 0
 	opt := Options{
 		Form: SF, Cycles: CyclePeriodic, Seed: 3, PeriodicInterval: 10,
-		Observer: func(ev Event) {
+		Metrics: &recordingSink{on: func(ev Event) {
 			if ev.Kind == EventSweep {
 				sweeps++
 			}
-		},
+		}},
 	}
 	s := NewSystem(opt)
 	vars := make([]*Var, 20)

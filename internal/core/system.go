@@ -8,10 +8,6 @@ import (
 	"polce/internal/core/graph"
 )
 
-// worklistSampleInterval is how many worklist steps pass between
-// MetricsSink.WorklistLen samples.
-const worklistSampleInterval = 64
-
 // constraint is a pending inclusion awaiting resolution. A conSingle
 // entry is the inclusion l ⊆ r. Source propagation pushes batch entries
 // instead, each standing for one inclusion per element of a window (term
@@ -88,8 +84,9 @@ type System struct {
 	errs     []error
 	errCount int
 
-	skipClosure bool   // build the initial graph only (no closure, no cycles)
-	drainSteps  uint64 // worklist steps processed; drives worklist sampling
+	skipClosure bool // build the initial graph only (no closure, no cycles)
+
+	reportedWork, reportedRedundant int64 // Stats at the last ClosureDone
 
 	// Least-solution engine state (inductive form; see lsengine.go).
 	// graphVersion is bumped only by mutations that can change a least
@@ -252,8 +249,8 @@ func (s *System) narrowTop(n int) {
 
 // drain empties the worklist. topLevel marks drains triggered directly by
 // AddConstraint: only those report ClosureDone, so offline collapse drains
-// (CollapseCycles, periodic sweeps' re-inserted constraints) are not
-// misattributed as closure time.
+// (CollapseCycles, retraction replays) are not misattributed as closure
+// time; their Work is reported with the next top-level drain's.
 func (s *System) drain(topLevel bool) {
 	report := topLevel && s.opt.Metrics != nil
 	var t0 time.Time
@@ -266,12 +263,6 @@ func (s *System) drain(topLevel bool) {
 		}
 		if len(s.work) > s.workHWM {
 			s.workHWM = len(s.work)
-		}
-		if s.opt.Metrics != nil {
-			s.drainSteps++
-			if s.drainSteps%worklistSampleInterval == 0 {
-				s.opt.Metrics.WorklistLen(len(s.work))
-			}
 		}
 		c := s.work[len(s.work)-1]
 		switch c.kind {
@@ -299,7 +290,9 @@ func (s *System) drain(topLevel bool) {
 	}
 	s.flushDelta()
 	if report {
-		s.opt.Metrics.ClosureDone(time.Since(t0))
+		w, r := s.stats.Work, s.stats.Redundant
+		s.opt.Metrics.ClosureDone(time.Since(t0), w-s.reportedWork, r-s.reportedRedundant)
+		s.reportedWork, s.reportedRedundant = w, r
 	}
 }
 
@@ -463,19 +456,11 @@ func (s *System) Errors() []error { return s.errs }
 // dropped ones.
 func (s *System) ErrorCount() int { return s.errCount }
 
-// metricEdge reports one attempted edge addition to the metrics sink.
-func (s *System) metricEdge(redundant bool) {
-	if s.opt.Metrics != nil {
-		s.opt.Metrics.EdgeAttempt(redundant)
-	}
-}
-
 // redundantSource counts an attempted source edge into x that found the
 // edge already present.
 func (s *System) redundantSource(x *Var) {
 	s.stats.Work++
 	s.stats.Redundant++
-	s.metricEdge(true)
 	if s.retract != nil {
 		s.retract.attempt(x, nil, false)
 	}
@@ -492,9 +477,8 @@ func (s *System) addSource(t graph.TermID, x *Var) {
 		s.retract.attempt(x, nil, true)
 	}
 	s.markLS(x)
-	s.metricEdge(false)
-	if s.opt.Observer != nil {
-		s.emit(Event{Kind: EventSourceEdge, From: s.store.Term(t), To: x})
+	if s.opt.Metrics != nil {
+		s.opt.Metrics.Edge(EventSourceEdge, s.store.Term(t), x, s.stats.Work)
 	}
 	if s.skipClosure {
 		return
@@ -509,7 +493,6 @@ func (s *System) addSink(x *Var, t graph.TermID) {
 	s.stats.Work++
 	if !x.SuccK.Add(t) {
 		s.stats.Redundant++
-		s.metricEdge(true)
 		if s.retract != nil {
 			s.retract.attempt(x, nil, false)
 		}
@@ -518,9 +501,8 @@ func (s *System) addSink(x *Var, t graph.TermID) {
 	if s.retract != nil {
 		s.retract.attempt(x, nil, true)
 	}
-	s.metricEdge(false)
-	if s.opt.Observer != nil {
-		s.emit(Event{Kind: EventSinkEdge, From: x, To: s.store.Term(t)})
+	if s.opt.Metrics != nil {
+		s.opt.Metrics.Edge(EventSinkEdge, x, s.store.Term(t), s.stats.Work)
 	}
 	if s.skipClosure {
 		return
@@ -550,7 +532,6 @@ func (s *System) addVarEdge(x, y *Var) {
 	s.stats.Work++
 	if asSucc && x.SuccV.Has(y) || !asSucc && y.PredV.Has(x) {
 		s.stats.Redundant++
-		s.metricEdge(true)
 		if s.retract != nil {
 			s.retract.attempt(x, y, false)
 		}
@@ -559,14 +540,13 @@ func (s *System) addVarEdge(x, y *Var) {
 	if s.retract != nil {
 		s.retract.attempt(x, y, true)
 	}
-	s.metricEdge(false)
 	if !s.skipClosure && s.online != nil {
 		if s.online.pendingEdge(x, y, asSucc) {
 			return
 		}
 	}
-	if s.opt.Observer != nil {
-		s.emit(Event{Kind: EventVarEdge, From: x, To: y})
+	if s.opt.Metrics != nil {
+		s.opt.Metrics.Edge(EventVarEdge, x, y, s.stats.Work)
 	}
 	if asSucc {
 		x.SuccV.Add(y)

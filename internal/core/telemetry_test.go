@@ -44,7 +44,7 @@ func TestStatsStringIncludesSweepCounters(t *testing.T) {
 // TestEventVarsNotMutatedAfterDelivery asserts the documented Event
 // contract from the solver's side: the Vars slice delivered with an
 // EventCycle is freshly allocated and never aliased or mutated by later
-// solver activity (events.go says the observer must not retain it; this
+// solver activity (events.go says the sink must not retain it; this
 // verifies the solver does not either).
 func TestEventVarsNotMutatedAfterDelivery(t *testing.T) {
 	type delivered struct {
@@ -56,7 +56,7 @@ func TestEventVarsNotMutatedAfterDelivery(t *testing.T) {
 		Form:   IF,
 		Cycles: CycleOnline,
 		Seed:   7,
-		Observer: func(ev Event) {
+		Metrics: &recordingSink{on: func(ev Event) {
 			if ev.Kind != EventCycle {
 				return
 			}
@@ -64,7 +64,7 @@ func TestEventVarsNotMutatedAfterDelivery(t *testing.T) {
 				t.Errorf("EventCycle Collapsed = %d, want len(Vars) = %d", ev.Collapsed, len(ev.Vars))
 			}
 			got = append(got, delivered{vars: ev.Vars, copy: append([]*Var(nil), ev.Vars...)})
-		},
+		}},
 	}
 	s, _ := cyclicWorkload(t, opt)
 	if len(got) == 0 {
@@ -92,66 +92,134 @@ func TestEventVarsNotMutatedAfterDelivery(t *testing.T) {
 	}
 }
 
-// recordingSink captures every MetricsSink callback.
+// recordingSink captures every MetricsSink callback but Edge. on, when
+// set, receives each event and each new edge packed into an Event.
 type recordingSink struct {
-	attempts  int64
-	redundant int64
-	searches  []int
-	collapses []int
-	worklists []int
-	closures  []time.Duration
-	lsPasses  []LSPass
-	retracts  []RetractReport
+	on       func(Event)
+	events   []Event
+	searches []int
+	closures []closureReport
+	lsPasses []LSPass
+	retracts []RetractReport
 }
 
-func (r *recordingSink) EdgeAttempt(red bool) {
-	r.attempts++
-	if red {
-		r.redundant++
+// closureReport is one ClosureDone call's arguments.
+type closureReport struct {
+	d               time.Duration
+	work, redundant int64
+}
+
+func (r *recordingSink) Edge(kind EventKind, from, to Expr, work int64) {
+	if r.on != nil {
+		r.on(Event{Kind: kind, From: from, To: to, Work: work})
 	}
 }
-func (r *recordingSink) CycleSearch(visits int)      { r.searches = append(r.searches, visits) }
-func (r *recordingSink) Collapse(merged int)         { r.collapses = append(r.collapses, merged) }
-func (r *recordingSink) WorklistLen(n int)           { r.worklists = append(r.worklists, n) }
-func (r *recordingSink) ClosureDone(d time.Duration) { r.closures = append(r.closures, d) }
+func (r *recordingSink) Event(ev Event) {
+	r.events = append(r.events, ev)
+	if r.on != nil {
+		r.on(ev)
+	}
+}
+func (r *recordingSink) CycleSearch(visits int) { r.searches = append(r.searches, visits) }
+func (r *recordingSink) ClosureDone(d time.Duration, work, redundant int64) {
+	r.closures = append(r.closures, closureReport{d, work, redundant})
+}
 func (r *recordingSink) LeastSolutionDone(p LSPass)  { r.lsPasses = append(r.lsPasses, p) }
 func (r *recordingSink) RetractDone(p RetractReport) { r.retracts = append(r.retracts, p) }
 
-// TestMetricsSinkAgreesWithStats cross-checks the per-operation hook
-// deltas against the aggregate Stats counters.
-func TestMetricsSinkAgreesWithStats(t *testing.T) {
-	for _, form := range []Form{SF, IF} {
-		sink := &recordingSink{}
-		s, _ := cyclicWorkload(t, Options{Form: form, Cycles: CycleOnline, Seed: 11, Metrics: sink})
-		st := s.Stats()
+// closureTotals sums the Work and Redundant increases ClosureDone carried.
+func (r *recordingSink) closureTotals() (work, redundant int64) {
+	for _, c := range r.closures {
+		work += c.work
+		redundant += c.redundant
+	}
+	return work, redundant
+}
 
-		if sink.attempts != st.Work {
-			t.Errorf("%v: EdgeAttempt count = %d, Stats.Work = %d", form, sink.attempts, st.Work)
+// collapsed sums the variables the EventCycle events merged away.
+func (r *recordingSink) collapsed() int {
+	n := 0
+	for _, ev := range r.events {
+		if ev.Kind == EventCycle {
+			n += ev.Collapsed
 		}
-		if sink.redundant != st.Redundant {
-			t.Errorf("%v: redundant attempts = %d, Stats.Redundant = %d", form, sink.redundant, st.Redundant)
+	}
+	return n
+}
+
+// TestMetricsSinkAgreesWithStats cross-checks the per-operation hook
+// deltas against the aggregate Stats counters, on SF and IF and on a
+// retractable system whose retraction replays and offline collapse drain
+// outside AddConstraint.
+func TestMetricsSinkAgreesWithStats(t *testing.T) {
+	check := func(label string, sink *recordingSink, st Stats) {
+		t.Helper()
+		work, redundant := sink.closureTotals()
+		if work != st.Work {
+			t.Errorf("%s: summed ClosureDone work = %d, Stats.Work = %d", label, work, st.Work)
+		}
+		if redundant != st.Redundant {
+			t.Errorf("%s: summed ClosureDone redundant = %d, Stats.Redundant = %d", label, redundant, st.Redundant)
 		}
 		if int64(len(sink.searches)) != st.CycleSearches {
-			t.Errorf("%v: CycleSearch calls = %d, Stats.CycleSearches = %d", form, len(sink.searches), st.CycleSearches)
+			t.Errorf("%s: CycleSearch calls = %d, Stats.CycleSearches = %d", label, len(sink.searches), st.CycleSearches)
 		}
 		var visits int64
 		for _, v := range sink.searches {
 			visits += int64(v)
 		}
 		if visits != st.CycleVisits {
-			t.Errorf("%v: summed search depths = %d, Stats.CycleVisits = %d", form, visits, st.CycleVisits)
+			t.Errorf("%s: summed search depths = %d, Stats.CycleVisits = %d", label, visits, st.CycleVisits)
 		}
-		var merged int
-		for _, m := range sink.collapses {
-			merged += m
-		}
-		if merged != st.VarsEliminated {
-			t.Errorf("%v: summed collapse sizes = %d, Stats.VarsEliminated = %d", form, merged, st.VarsEliminated)
+		if merged := sink.collapsed(); merged != st.VarsEliminated {
+			t.Errorf("%s: summed EventCycle.Collapsed = %d, Stats.VarsEliminated = %d", label, merged, st.VarsEliminated)
 		}
 		if len(sink.closures) == 0 {
-			t.Errorf("%v: no ClosureDone callbacks", form)
+			t.Errorf("%s: no ClosureDone callbacks", label)
 		}
 	}
+	for _, form := range []Form{SF, IF} {
+		sink := &recordingSink{}
+		s, _ := cyclicWorkload(t, Options{Form: form, Cycles: CycleOnline, Seed: 11, Metrics: sink})
+		check(form.String(), sink, s.Stats())
+	}
+
+	// Retractable IF-Online: the retraction's replay and CollapseCycles
+	// both add Work outside a top-level drain, and the closing
+	// AddConstraint's ClosureDone must carry it.
+	sink := &recordingSink{}
+	s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 11, Retractable: true, Metrics: sink})
+	a := atoms(3)
+	vars := make([]*Var, 48)
+	for i := range vars {
+		vars[i] = s.Fresh("r")
+	}
+	var batches []uint64
+	for b := 0; b < 3; b++ {
+		batches = append(batches, s.BeginBatch())
+		for i := b * 16; i < (b+1)*16; i++ {
+			s.AddConstraint(a[b], vars[i])
+			s.AddConstraint(vars[i], vars[(i*7+1)%len(vars)])
+			s.AddConstraint(vars[(i*13+5)%len(vars)], vars[i])
+		}
+		s.EndBatch()
+	}
+	before := s.Stats().Work
+	if _, err := s.RetractBatches(batches[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	retracted := s.Stats().Work
+	if retracted == before {
+		t.Fatal("the retraction replayed no Work")
+	}
+	if n := s.CollapseCycles(); n == 0 {
+		t.Fatal("offline collapse found no cycle the online search missed")
+	}
+	if s.Stats().Work == retracted {
+		t.Fatal("the offline collapse added no Work")
+	}
+	s.AddConstraint(a[0], vars[len(vars)-1])
+	check("IF retractable", sink, s.Stats())
 }
 
 // TestClosureDoneOnlyFromAddConstraint is the regression test for phase
@@ -184,17 +252,24 @@ func TestClosureDoneOnlyFromAddConstraint(t *testing.T) {
 	if got := len(sink.closures); got != adds {
 		t.Errorf("CollapseCycles added %d ClosureDone sample(s); offline drains must not report closure time", got-adds)
 	}
-	// The collapse itself is still observed through its own hook.
-	if len(sink.collapses) == 0 {
-		t.Error("offline collapse reported no Collapse sample")
+	// The collapse itself is still observed through its own event.
+	if sink.collapsed() == 0 {
+		t.Error("offline collapse reported no EventCycle")
 	}
 }
 
-// TestWorklistSampling drives enough constraints through the solver to
-// cross the sampling interval and checks samples arrive.
+// TestWorklistSampling checks the worklist pressure StorageStats reports:
+// its high-water mark is at least every worklist length seen at an edge
+// insertion, and the workload drives it past one entry.
 func TestWorklistSampling(t *testing.T) {
-	sink := &recordingSink{}
-	s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 3, Metrics: sink})
+	var s *System
+	seen := 0
+	sink := &recordingSink{on: func(ev Event) {
+		if ev.Kind <= EventVarEdge {
+			seen = max(seen, len(s.work))
+		}
+	}}
+	s = NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 3, Metrics: sink})
 	atoms := atoms(4)
 	vars := make([]*Var, 64)
 	for i := range vars {
@@ -205,12 +280,11 @@ func TestWorklistSampling(t *testing.T) {
 		s.AddConstraint(vars[i], vars[(i*7+1)%len(vars)])
 		s.AddConstraint(vars[(i*13+5)%len(vars)], vars[i])
 	}
-	if len(sink.worklists) == 0 {
-		t.Fatalf("no worklist samples after %d worklist steps", s.Stats().Work)
+	hwm := s.StorageStats().WorklistHWM
+	if seen < 2 {
+		t.Fatalf("the widest worklist at an edge insertion held %d entries; the workload should queue more", seen)
 	}
-	for _, n := range sink.worklists {
-		if n < 0 {
-			t.Fatalf("negative worklist sample %d", n)
-		}
+	if hwm < seen {
+		t.Fatalf("WorklistHWM = %d, below the %d entries pending at an edge insertion", hwm, seen)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Where core.Stats collapses the cycle-search cost to a mean
 // (VisitsPerSearch), SearchDepth records the empirical distribution behind
 // Theorem 5.2; CollapseSize does the same for the sizes of collapsed
-// cycles and Worklist for the pending-constraint backlog.
+// cycles. The edge counters advance once per closure drain.
 type SolverMetrics struct {
 	// EdgeAttempts counts every attempted edge addition (the paper's
 	// Work); RedundantEdges the attempts that found the edge present.
@@ -21,8 +21,6 @@ type SolverMetrics struct {
 	SearchDepth *Histogram
 	// CollapseSize is the distribution of variables merged per collapse.
 	CollapseSize *Histogram
-	// Worklist is the sampled pending-constraint worklist length.
-	Worklist *Histogram
 	// Phases accumulates per-phase wall-clock; the solver feeds the
 	// closure and least-solution phases, clients add parse and
 	// constraint-gen.
@@ -57,7 +55,6 @@ func NewSolverMetrics(reg *Registry) *SolverMetrics {
 		RedundantEdges:  reg.Counter("polce_edge_redundant_total", "edge additions that found the edge already present"),
 		SearchDepth:     reg.Histogram("polce_cycle_search_depth", "nodes visited per online cycle search (Theorem 5.2's R_X)", LogBuckets(1, 2, 16)),
 		CollapseSize:    reg.Histogram("polce_collapse_size", "variables merged away per cycle collapse or sweep", LogBuckets(1, 2, 16)),
-		Worklist:        reg.Histogram("polce_worklist_len", "pending-constraint worklist length, sampled every 64 steps", LogBuckets(1, 4, 12)),
 		Phases:          reg.Timers("polce_phase", "cumulative wall-clock per solver phase"),
 		LSLevels:        reg.Gauge("polce_ls_levels", "topological levels of the predecessor DAG in the last least-solution pass"),
 		LSCone:          reg.Histogram("polce_ls_cone_vars", "variables recomputed per least-solution pass (dirty cone size)", LogBuckets(1, 4, 12)),
@@ -87,11 +84,13 @@ func NewSolverMetrics(reg *Registry) *SolverMetrics {
 	return m
 }
 
-// EdgeAttempt implements core.MetricsSink.
-func (m *SolverMetrics) EdgeAttempt(redundant bool) {
-	m.EdgeAttempts.Inc()
-	if redundant {
-		m.RedundantEdges.Inc()
+// Edge implements core.MetricsSink; ClosureDone carries the edge counters.
+func (m *SolverMetrics) Edge(core.EventKind, core.Expr, core.Expr, int64) {}
+
+// Event implements core.MetricsSink: each collapse feeds CollapseSize.
+func (m *SolverMetrics) Event(ev core.Event) {
+	if ev.Kind == core.EventCycle {
+		m.CollapseSize.Observe(float64(ev.Collapsed))
 	}
 }
 
@@ -100,19 +99,11 @@ func (m *SolverMetrics) CycleSearch(visits int) {
 	m.SearchDepth.Observe(float64(visits))
 }
 
-// Collapse implements core.MetricsSink.
-func (m *SolverMetrics) Collapse(merged int) {
-	m.CollapseSize.Observe(float64(merged))
-}
-
-// WorklistLen implements core.MetricsSink.
-func (m *SolverMetrics) WorklistLen(n int) {
-	m.Worklist.Observe(float64(n))
-}
-
 // ClosureDone implements core.MetricsSink.
-func (m *SolverMetrics) ClosureDone(d time.Duration) {
+func (m *SolverMetrics) ClosureDone(d time.Duration, work, redundant int64) {
 	m.Phases.Add(PhaseClosure, d)
+	m.EdgeAttempts.Add(work)
+	m.RedundantEdges.Add(redundant)
 }
 
 // LeastSolutionDone implements core.MetricsSink.

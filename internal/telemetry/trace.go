@@ -84,8 +84,8 @@ func toTraceStats(st core.Stats) *TraceStats {
 
 // TraceWriter streams solver events as NDJSON, one record per line, each
 // stamped with the wall-clock offset from trace start and the solver's
-// Work counter. Install Observe as (or inside) core.Options.Observer,
-// call WriteStats with the final Stats, then Close.
+// Work counter. Call Observe from the Edge and Event methods of the
+// solver's core.MetricsSink, WriteStats with the final Stats, then Close.
 //
 // The writer is safe for concurrent use; the solver itself is
 // single-threaded but HTTP handlers may flush concurrently.
@@ -139,9 +139,9 @@ func exprString(e core.Expr) string {
 	return e.String()
 }
 
-// Observe converts one solver event into a trace record. It has the
-// signature of core.Options.Observer, so a TraceWriter can be installed
-// directly: opts.Observer = tw.Observe.
+// Observe encodes one solver event as a trace record. A sink that traces
+// passes its Event values here and packs each Edge call's arguments into
+// an Event first.
 func (t *TraceWriter) Observe(ev core.Event) {
 	rec := TraceRecord{
 		Kind:    ev.Kind.String(),

@@ -10,15 +10,31 @@ import (
 	"polce/internal/core"
 )
 
+// tracingSink is the standard metrics plus every edge and event written
+// to a TraceWriter: the shape of a traced solver's one hook.
+type tracingSink struct {
+	*SolverMetrics
+	tw *TraceWriter
+}
+
+func (s tracingSink) Edge(kind core.EventKind, from, to core.Expr, work int64) {
+	s.tw.Observe(core.Event{Kind: kind, From: from, To: to, Work: work})
+}
+
+func (s tracingSink) Event(ev core.Event) {
+	s.SolverMetrics.Event(ev)
+	s.tw.Observe(ev)
+}
+
 // runTracedWorkload solves a small cyclic system with a TraceWriter (and
-// SolverMetrics) attached and returns the trace records plus final stats.
-func runTracedWorkload(t *testing.T, tw *TraceWriter, sink core.MetricsSink) core.Stats {
+// SolverMetrics, a fresh one when sm is nil) attached and returns the
+// final stats.
+func runTracedWorkload(t *testing.T, tw *TraceWriter, sm *SolverMetrics) core.Stats {
 	t.Helper()
-	opt := core.Options{Form: core.IF, Cycles: core.CycleOnline, Seed: 5, Observer: tw.Observe}
-	if sink != nil {
-		opt.Metrics = sink
+	if sm == nil {
+		sm = NewSolverMetrics(NewRegistry())
 	}
-	s := core.NewSystem(opt)
+	s := core.NewSystem(core.Options{Form: core.IF, Cycles: core.CycleOnline, Seed: 5, Metrics: tracingSink{sm, tw}})
 	atom := core.NewTerm(core.NewConstructor("a"))
 	vars := make([]*core.Var, 16)
 	for i := range vars {

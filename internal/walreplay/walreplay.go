@@ -26,8 +26,8 @@ import (
 )
 
 // OptionsMeta renders the replay-relevant solver options as the string map
-// pinned into a log directory's meta.json. Observers and metrics sinks
-// are deliberately absent: they never change the graph.
+// pinned into a log directory's meta.json. The metrics sink is
+// deliberately absent: it never changes the graph.
 func OptionsMeta(opt polce.Options) map[string]string {
 	return map[string]string{
 		"form":        opt.Form.String(),

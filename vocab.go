@@ -35,7 +35,7 @@ type (
 	RetractReport = core.RetractReport
 	// StorageStats reports the drain-shape counters.
 	StorageStats = core.StorageStats
-	// Event is one solver occurrence, delivered to Options.Observer.
+	// Event is one solver occurrence, delivered to Options.Metrics.
 	Event = core.Event
 	// EventKind classifies solver events.
 	EventKind = core.EventKind
@@ -81,7 +81,7 @@ const (
 	Covariant     = core.Covariant
 	Contravariant = core.Contravariant
 
-	// EventSourceEdge through EventSweep classify observer events.
+	// EventSourceEdge through EventSweep classify solver events.
 	EventSourceEdge = core.EventSourceEdge
 	EventSinkEdge   = core.EventSinkEdge
 	EventVarEdge    = core.EventVarEdge
