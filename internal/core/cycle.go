@@ -24,7 +24,8 @@ package core
 
 // onlineSearch is the paper's partial online elimination. It owns the
 // chain-search scratch state (epoch mark, found path, explicit stack);
-// the search marks are parked in each variable's Mark slot.
+// the search marks are parked in each variable's Mark slot, under an
+// epoch drawn from the System's mark counter.
 type onlineSearch struct {
 	sys        *System
 	increasing bool // SF ablation: search up-order instead of down
@@ -43,7 +44,7 @@ func (o *onlineSearch) pendingEdge(x, y *Var, asSucc bool) bool {
 	s := o.sys
 	s.stats.CycleSearches++
 	visitsBefore := s.stats.CycleVisits
-	o.searchEpoch++
+	o.searchEpoch = s.nextMarks(1)
 	o.path = o.path[:0]
 	var found bool
 	if s.opt.Form == IF {

@@ -24,7 +24,7 @@ type GraphStats struct {
 func (s *System) CurrentGraphStats() GraphStats {
 	vv, src, snk := s.EdgeCounts()
 	st := GraphStats{
-		Vars:        len(s.CanonicalVars()),
+		Vars:        s.store.NumLive(),
 		VarVarEdges: vv, SourceEdges: src, SinkEdges: snk,
 	}
 	if st.Vars > 0 {

@@ -106,6 +106,8 @@ func (st *Store) BumpMergeEpoch() { st.mergeEpoch++ }
 
 // ResetVar returns v to its freshly-created state: adjacency cleared,
 // forwarding pointer removed, search mark and least-solution slot zeroed.
+// Only the slot's Pending mark survives: it records that the engine
+// already lists v for its next pass, and the list outlives the reset.
 // The retraction engine calls it for every variable in a dirty cone
 // before replaying the surviving constraints. A variable it un-forwards
 // is live again: one still listed stops counting as dead, and one that
@@ -119,7 +121,7 @@ func (st *Store) ResetVar(v *Var) {
 	v.parent = nil
 	v.Mark = 0
 	v.cleanEpoch = 0
-	v.Sol = SolSlot{}
+	v.Sol = SolSlot{Pending: v.Sol.Pending}
 }
 
 // relist accounts for the forwarded variable v becoming live again.
@@ -193,6 +195,16 @@ func (st *Store) compactLive() {
 	}
 	st.vars = out
 	st.dead = 0
+}
+
+// Live returns the live list after compaction, in creation order,
+// without copying it: every canonical variable appears once, and
+// forwarded entries that compaction has not yet dropped remain, for the
+// caller to skip. The slice is the store's own; the caller must not
+// modify it, nor keep it past the next Fresh or whole-graph walk.
+func (st *Store) Live() []*Var {
+	st.compactLive()
+	return st.vars
 }
 
 // CanonicalVars returns the canonical (non-eliminated) variables in

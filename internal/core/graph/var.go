@@ -7,9 +7,9 @@ package graph
 // The store owns the identity fields (name, creation index, total-order
 // position, union-find forwarding pointer) and the four adjacency sets.
 // Mark and Sol are slots the layers above hang per-variable state on: the
-// cycle strategy uses Mark as its search-epoch mark, and the
-// least-solution engine keeps its cached node in Sol. The store itself
-// never interprets either.
+// cycle search and the least-solution walk both keep their visit state in
+// Mark, and the least-solution engine keeps its cached node in Sol. The
+// store itself never interprets either.
 type Var struct {
 	name  string
 	id    int    // creation index within the owning store
@@ -22,7 +22,9 @@ type Var struct {
 	SuccV VarSet  // variable successors
 	SuccK TermSet // sink successors X ⊆ c(...)
 
-	// Mark is an epoch mark owned by the cycle strategy's chain search.
+	// Mark is an epoch mark. The online chain search and the
+	// least-solution walk draw their epochs from one counter of the
+	// solver, so neither reads a mark the other left as current.
 	Mark uint64
 
 	cleanEpoch uint64 // last merge epoch at which adjacency was compacted
@@ -33,12 +35,12 @@ type Var struct {
 
 // SolSlot is per-variable storage for a least-solution engine: an opaque
 // solution node (engine-owned; nil means never computed), a dirty mark for
-// the next pass's recomputation cone, and a scratch index for the pass's
-// ascending sweep.
+// the next pass's recomputation cone, and the variable's level in the
+// predecessor DAG as of the last pass.
 type SolSlot struct {
 	Node    any
 	Pending bool
-	Idx     int32
+	Level   int32
 }
 
 // NewVar constructs a detached variable. Most callers go through

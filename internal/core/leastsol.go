@@ -14,15 +14,17 @@ import "sort"
 //	LS(Y) = { c(...) | c(...) ⋯→ Y } ∪ ⋃ { LS(X) | X ⋯→ Y }
 //
 // Every variable predecessor X of Y satisfies o(X) < o(Y), so a pass over
-// the variables in increasing order computes LS for every variable. As in
+// the variables in increasing order computes LS for every variable; so
+// does any order that reaches a variable after its predecessors. As in
 // the paper, inductive-form experiment timings always include this pass.
 //
 // The pass itself is implemented by the engine in lsengine.go: interned
 // shared term-sets combined by memoized unions, evaluated in one
-// ascending sweep, and recomputed incrementally for only the dirty cone
-// after an update. The straightforward algorithm is retained
-// below as leastSolutionsReference, the oracle the engine is
-// property-tested against.
+// post-order walk of the predecessor DAG, and recomputed incrementally
+// for only the dirty cone after an update. The straightforward
+// algorithm, which sorts by o(·), is retained below as
+// leastSolutionsReference, the oracle the engine is property-tested
+// against.
 
 // LSCacheState describes the least-solution cache for introspection
 // surfaces: whether a LeastSolution read right now would be answered

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"polce/internal/core/graph"
@@ -13,7 +12,8 @@ import (
 // fresh map; on closed graphs most least solutions are unions of a few
 // predecessor sets, so that pass copies the same suffixes over and over.
 // The engine replaces it with two cooperating pieces, both driven by one
-// ascending sweep over the canonical variables in o(·) order:
+// post-order walk of the predecessor DAG, which settles every variable
+// after its predecessors:
 //
 //  1. Shared interned term-sets. A least solution is an immutable lsNode
 //     holding a deduplicated list of term ids in first-reached order.
@@ -29,13 +29,16 @@ import (
 //     source edge, new predecessor edge, collapse) and marks the affected
 //     variable; redundant re-additions keep the cache hot. A pass then
 //     recomputes only the marked variables and their downstream cone —
-//     a variable is stale exactly when one of its predecessors is, and
-//     predecessors strictly precede it in o(·) — and every other
-//     variable keeps its cached node.
+//     a variable is stale exactly when it was marked or one of its
+//     predecessors is stale, and the walk settles predecessors first —
+//     and every other variable keeps its cached node.
 //
 // Because nodes are hash-consed, the union memo's keys are content pairs:
 // which unions a pass computes, and so every engine counter, does not
-// depend on the order the cone is evaluated in.
+// depend on the order the cone is evaluated in. Any order that settles a
+// variable after its predecessors computes Eq. 1, the paper's ascending
+// o(·) order among them; the walk needs no sort and allocates nothing
+// once its stack has grown.
 
 // lsIndexThreshold is the node size above which membership tests build a
 // lazily-cached hash index instead of scanning the term list.
@@ -85,6 +88,8 @@ type lsEngine struct {
 	memo     map[lsPair]*lsNode
 
 	empty *lsNode
+
+	stack []lsFrame // scratch: the pass's walk stack, kept across passes
 
 	hits   int64 // union memo hits
 	misses int64 // union memo misses (union actually computed)
@@ -190,14 +195,21 @@ func lsNodeOf(v *Var) *lsNode {
 }
 
 // evalVar computes y's least-solution node from its (already cleaned,
-// hence canonical) adjacency. Every variable predecessor precedes y in
-// o(·), so the ascending sweep has already brought its node up to date.
+// hence canonical) adjacency. The walk settles every variable predecessor
+// before y, so each one's node is already up to date.
 func (e *lsEngine) evalVar(y *Var) *lsNode {
 	n := e.leaf(y.PredS.List())
 	for _, x := range y.PredV.List() {
 		n = e.union(n, lsNodeOf(x))
 	}
 	return n
+}
+
+// lsFrame is one variable on the walk's explicit stack; next indexes the
+// first predecessor the walk has not yet checked.
+type lsFrame struct {
+	v    *Var
+	next int
 }
 
 // runLeastSolutionPass brings every canonical variable's lsNode up to
@@ -212,46 +224,64 @@ func (s *System) runLeastSolutionPass() {
 	e := s.lsEngine
 	hits0, misses0 := e.hits, e.misses
 
-	vars := s.CanonicalVars()
-	sort.Slice(vars, func(i, j int) bool { return before(vars[i], vars[j]) })
-
-	// Ascending sweep: canonicalise adjacency, assign topological levels
-	// over the predecessor DAG, mark the dirty cone and re-evaluate it. A
-	// variable is in the cone when it has no node yet, was marked by a
-	// mutation, or has a predecessor in the cone; predecessors strictly
-	// precede in o(·), so one pass settles level, cone membership and the
-	// node itself. Sweep positions live in Var.Sol.Idx so pred lookups
-	// cost an indexed load, not a map probe.
-	for i, v := range vars {
-		v.Sol.Idx = int32(i)
-	}
-	level := make([]int, len(vars))
-	inCone := make([]bool, len(vars))
-	maxLevel, cone := 0, 0
-	for i, y := range vars {
-		s.store.Clean(y)
-		lv := 0
-		rec := full || y.Sol.Node == nil || y.Sol.Pending
-		for _, x := range y.PredV.List() {
-			j := x.Sol.Idx
-			if level[j] >= lv {
-				lv = level[j] + 1
+	// Post-order walk over PredV from each live variable in store order.
+	// A variable is canonicalised when the walk reaches it and settled
+	// once its predecessors are: its level in the predecessor DAG is
+	// 1 + the highest predecessor level (reported as ls_levels), and it
+	// is in the cone when it has no node yet, was marked by a mutation,
+	// or has a predecessor in the cone; a cone member is re-evaluated.
+	// Every stored predecessor strictly precedes its variable in o(·), so
+	// the walk meets no cycle and its stack is at most levels deep. The
+	// walk state lives in Var.Mark: below reached means not yet reached
+	// this pass, and inCone marks a settled cone member.
+	reached := s.nextMarks(2)
+	inCone := reached + 1
+	var maxLevel int32
+	cone := 0
+	stack := e.stack[:0]
+	for _, root := range s.store.Live() {
+		if root.Forwarded() || root.Mark >= reached {
+			continue
+		}
+		s.store.Clean(root)
+		root.Mark = reached
+		stack = append(stack, lsFrame{v: root})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			preds := f.v.PredV.List()
+			for f.next < len(preds) && preds[f.next].Mark >= reached {
+				f.next++
 			}
-			if inCone[j] {
-				rec = true
+			if f.next < len(preds) {
+				x := preds[f.next]
+				s.store.Clean(x)
+				x.Mark = reached
+				stack = append(stack, lsFrame{v: x})
+				continue
+			}
+			y := f.v
+			stack = stack[:len(stack)-1]
+			lv := int32(0)
+			rec := full || y.Sol.Node == nil || y.Sol.Pending
+			for _, x := range preds {
+				if x.Sol.Level >= lv {
+					lv = x.Sol.Level + 1
+				}
+				if x.Mark == inCone {
+					rec = true
+				}
+			}
+			y.Sol.Level = lv
+			maxLevel = max(maxLevel, lv)
+			if rec {
+				y.Mark = inCone
+				cone++
+				y.Sol.Node = e.evalVar(y)
 			}
 		}
-		level[i] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		if rec {
-			inCone[i] = true
-			cone++
-			y.Sol.Node = e.evalVar(y)
-		}
 	}
-	levels := maxLevel + 1
+	e.stack = stack
+	levels := int(maxLevel) + 1
 
 	for _, v := range s.lsPending {
 		v.Sol.Pending = false
@@ -271,7 +301,7 @@ func (s *System) runLeastSolutionPass() {
 			Duration:    time.Since(start),
 			Levels:      levels,
 			ConeVars:    cone,
-			TotalVars:   len(vars),
+			TotalVars:   s.store.NumLive(),
 			UnionHits:   e.hits - hits0,
 			UnionMisses: e.misses - misses0,
 		})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -211,5 +212,160 @@ func TestLSParallelPass(t *testing.T) {
 	}
 	if s.Stats().LSLevels == 0 {
 		t.Fatal("LSLevels not recorded")
+	}
+}
+
+// lsEditCounters are the least-solution engine's Stats fields.
+type lsEditCounters struct {
+	passes, coneVars, levels, hits, misses, work int64
+}
+
+func lsCountersOf(st Stats) lsEditCounters {
+	return lsEditCounters{st.LSPasses, st.LSConeVars, st.LSLevels, st.LSUnionHits, st.LSUnionMisses, st.LSWork}
+}
+
+// runLSEditScript builds a retractable IF-Online system of 8-variable
+// clusters and edits it, reading one least solution after every edit so
+// each edit is followed by an incremental pass. Clusters share a pool of
+// four atoms, so clusters four apart compute equal unions, and the edits
+// retract and re-add a cluster, add a cross-link from one cluster's tail
+// into another's chain (some close cycles across clusters), or retract
+// a cross-link.
+func runLSEditScript(t *testing.T, seed int64, clusters, edits int) Stats {
+	t.Helper()
+	const size = 8
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: seed, Retractable: true})
+	pool := atoms(4)
+	vars := make([][]*Var, clusters)
+	for c := range vars {
+		for i := 0; i < size; i++ {
+			vars[c] = append(vars[c], s.Fresh(fmt.Sprintf("c%dv%d", c, i)))
+		}
+	}
+	addCluster := func(c int) uint64 {
+		id := s.BeginBatch()
+		s.AddConstraint(pool[c%4], vars[c][0])
+		s.AddConstraint(pool[(c+1)%4], vars[c][size/2])
+		for i := 1; i < size; i++ {
+			s.AddConstraint(vars[c][i-1], vars[c][i])
+		}
+		s.EndBatch()
+		return id
+	}
+	link := func(c, d int) uint64 {
+		id := s.BeginBatch()
+		s.AddConstraint(vars[c][size-1], vars[d][1+rng.Intn(size-1)])
+		s.EndBatch()
+		return id
+	}
+	ids := make([]uint64, clusters)
+	for c := range vars {
+		ids[c] = addCluster(c)
+	}
+	var links []uint64
+	for i := 0; i < clusters/4; i++ {
+		links = append(links, link(rng.Intn(clusters), rng.Intn(clusters)))
+	}
+	s.ComputeLeastSolutions()
+	for e := 0; e < edits; e++ {
+		switch r := rng.Intn(4); {
+		case r < 2:
+			c := rng.Intn(clusters)
+			if _, err := s.RetractBatches([]uint64{ids[c]}); err != nil {
+				t.Fatal(err)
+			}
+			ids[c] = addCluster(c)
+		case r == 2 || len(links) == 0:
+			links = append(links, link(rng.Intn(clusters), rng.Intn(clusters)))
+		default:
+			i := rng.Intn(len(links))
+			if _, err := s.RetractBatches([]uint64{links[i]}); err != nil {
+				t.Fatal(err)
+			}
+			links = append(links[:i], links[i+1:]...)
+		}
+		s.LeastSolution(vars[rng.Intn(clusters)][size-1])
+	}
+	return s.Stats()
+}
+
+// TestLSIncrementalCountersPinned pins the engine's counters across a
+// run of incremental passes. The counter golden pins one full pass per
+// cell; here 40 edits on 64 cross-linked clusters each run a pass over
+// a small cone, and unions hit the memo. The values were recorded with
+// the variables evaluated in ascending o(·) order: the order a pass
+// settles variables in must not move any counter.
+func TestLSIncrementalCountersPinned(t *testing.T) {
+	want := map[int64]lsEditCounters{
+		11: {passes: 40, coneVars: 1407, levels: 8, hits: 374, misses: 60, work: 127},
+		12: {passes: 41, coneVars: 1100, levels: 7, hits: 284, misses: 53, work: 87},
+		13: {passes: 41, coneVars: 1082, levels: 6, hits: 261, misses: 72, work: 127},
+	}
+	for _, seed := range []int64{11, 12, 13} {
+		got := lsCountersOf(runLSEditScript(t, seed, 64, 40))
+		if got.hits == 0 || got.passes < 2 {
+			t.Errorf("seed %d: %+v: the script must run incremental passes whose unions hit the memo", seed, got)
+		}
+		if got != want[seed] {
+			t.Errorf("seed %d: counters %+v, want %+v", seed, got, want[seed])
+		}
+	}
+}
+
+// TestLSPassKeepsClosureCounters solves one IF-Online script twice, once
+// computing least solutions after every constraint and once never. The
+// least-solution walk and the online chain search both keep their visit
+// state in Var.Mark, so neither may read a mark the other left as its
+// own: every closure counter must repeat, and the interleaved passes
+// must end at the reference least solutions. The retractable variant
+// also retracts every seventh batch, which resets marks.
+func TestLSPassKeepsClosureCounters(t *testing.T) {
+	ops := genScript(21, 300, 900)
+	for _, retractable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retractable=%v", retractable), func(t *testing.T) {
+			solve := func(read bool) Stats {
+				s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 21, Retractable: retractable})
+				var vars []*Var
+				for i, op := range ops {
+					if op.fresh {
+						vars = append(vars, s.Fresh(fmt.Sprintf("v%d", len(vars))))
+						continue
+					}
+					id := s.BeginBatch()
+					s.AddConstraint(op.l.build(vars), op.r.build(vars))
+					s.EndBatch()
+					if retractable && i%7 == 0 {
+						if _, err := s.RetractBatches([]uint64{id}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if read {
+						s.ComputeLeastSolutions()
+					}
+				}
+				if read {
+					checkLSAgainstReference(t, s, "after the interleaved passes")
+				}
+				return s.Stats()
+			}
+			never, always := solve(false), solve(true)
+			if always.LSPasses < 100 {
+				t.Fatalf("only %d least-solution passes interleaved with the closure", always.LSPasses)
+			}
+			type closure struct {
+				work, redundant, searches, visits, found int64
+				eliminated                               int
+			}
+			of := func(st Stats) closure {
+				return closure{st.Work, st.Redundant, st.CycleSearches, st.CycleVisits, st.CyclesFound, st.VarsEliminated}
+			}
+			if a, b := of(never), of(always); a != b {
+				t.Fatalf("closure counters moved when passes ran between constraints:\n never %+v\nalways %+v", a, b)
+			}
+			if never.CyclesFound == 0 {
+				t.Fatal("the script closed no cycle")
+			}
+		})
 	}
 }

@@ -67,7 +67,8 @@ const (
 	// IF is inductive form: a variable-variable constraint X ⊆ Y is stored
 	// as a successor edge of X when o(X) > o(Y) and as a predecessor edge
 	// of Y when o(X) < o(Y). The least solution is computed afterwards by
-	// an ascending-order pass over predecessor edges.
+	// a pass over predecessor edges that reaches every variable after its
+	// predecessors.
 	IF
 )
 

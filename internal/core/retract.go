@@ -48,8 +48,9 @@ import (
 //
 // A retraction costs O(footprint of the dirty region): it walks no list of
 // every live batch or every variable, and the live-variable count in its
-// report is O(1). The least-solution read that usually follows it is still
-// a whole-graph pass (lsengine.go); only its recomputation is confined to
+// report is O(1). The least-solution read that usually follows it still
+// walks every live variable and predecessor edge (lsengine.go), without
+// sorting, copying or allocating; only its re-evaluation is confined to
 // the cone.
 //
 // The replay argument needs every mutation to happen inside a tracked

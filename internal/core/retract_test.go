@@ -629,47 +629,93 @@ func addCluster(s *System, vs []*Var, atom *Term) uint64 {
 	return id
 }
 
+// editCost returns the allocations and bytes of one edit of a
+// clusterSystem of the given size: a retract and re-add of cluster 0,
+// followed, when read is set, by a LeastSolution of its tail.
+func editCost(t *testing.T, clusters int, read bool) (allocs, bytes float64) {
+	t.Helper()
+	const runs = 50
+	opt := Options{Form: IF, Cycles: CycleOnline, Seed: 11, Retractable: true}
+	s, vars, atoms, ids := clusterSystem(opt, clusters)
+	tail := vars[0][len(vars[0])-1]
+	// Empty the least-solution pending list, keeping its capacity, so the
+	// edits' appends to it never regrow a graph-sized slice.
+	s.ComputeLeastSolutions()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, func() {
+		if _, err := s.RetractBatches([]uint64{ids[0]}); err != nil {
+			t.Fatal(err)
+		}
+		ids[0] = addCluster(s, vars[0], atoms[0])
+		if read && len(s.LeastSolution(tail)) != 1 {
+			t.Fatal("the tail's least solution lost the cluster's atom")
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+}
+
+// checkEditCostFlat requires an edit to make as many allocations, within
+// four, and at most twice the bytes at 4096 clusters as at 64.
+func checkEditCostFlat(t *testing.T, what string, read bool) {
+	t.Helper()
+	smallAllocs, smallBytes := editCost(t, 64, read)
+	largeAllocs, largeBytes := editCost(t, 4096, read)
+	t.Logf("%s: %.0f allocations, %.0f B at 64 clusters; %.0f, %.0f B at 4096", what, smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if diff := largeAllocs - smallAllocs; diff > 4 || diff < -4 {
+		t.Errorf("allocations %s: %.0f at 64 clusters, %.0f at 4096", what, smallAllocs, largeAllocs)
+	}
+	if largeBytes > 2*smallBytes {
+		t.Errorf("bytes %s: %.0f at 64 clusters, %.0f at 4096", what, smallBytes, largeBytes)
+	}
+}
+
 // TestRetractCostIndependentOfGraphSize pins retraction at O(dirty cone):
 // one retract and re-add of a 12-variable cluster makes as many
 // allocations, and allocates about as many bytes, at 64 clusters as at
 // 4096, so no step of it walks or copies every live batch or every
 // variable.
 func TestRetractCostIndependentOfGraphSize(t *testing.T) {
-	const runs = 50
-	perEdit := func(clusters int) (allocs, bytes float64) {
-		opt := Options{Form: IF, Cycles: CycleOnline, Seed: 11, Retractable: true}
-		s, vars, atoms, ids := clusterSystem(opt, clusters)
-		// Empty the least-solution pending list, keeping its capacity, so
-		// the edits' appends to it never regrow a graph-sized slice.
-		s.ComputeLeastSolutions()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, func() {
-			if _, err := s.RetractBatches([]uint64{ids[0]}); err != nil {
-				t.Fatal(err)
-			}
-			ids[0] = addCluster(s, vars[0], atoms[0])
-		})
-		runtime.ReadMemStats(&after)
-		// AllocsPerRun makes one warm-up call before the measured runs.
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	checkEditCostFlat(t, "per edit", false)
+}
+
+// TestEditAndReadCostIndependentOfGraphSize adds the read that usually
+// follows an edit, a LeastSolution of the cluster's tail: the pass may
+// walk the graph, but it copies no list the size of the graph.
+func TestEditAndReadCostIndependentOfGraphSize(t *testing.T) {
+	checkEditCostFlat(t, "per edit and read", true)
+}
+
+// TestLSPendingListsEachVarOnce retracts and re-adds one cluster five
+// times with no read between the edits. The retraction resets the
+// cluster's variables and marks them dirty again; each must stay on the
+// pending list once, so the list holds the cluster and does not grow
+// by it at every edit.
+func TestLSPendingListsEachVarOnce(t *testing.T) {
+	s, vars, atoms, ids := clusterSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 11, Retractable: true}, 4)
+	s.ComputeLeastSolutions()
+	for edit := 1; edit <= 5; edit++ {
+		if _, err := s.RetractBatches([]uint64{ids[0]}); err != nil {
+			t.Fatal(err)
+		}
+		ids[0] = addCluster(s, vars[0], atoms[0])
+		// Every variable of the cluster is dirty, so any repeat shows.
+		if got := s.LSCacheState().PendingDirty; got != len(vars[0]) {
+			t.Fatalf("edit %d: PendingDirty = %d, want the cluster's %d variables", edit, got, len(vars[0]))
+		}
 	}
-	smallAllocs, smallBytes := perEdit(64)
-	largeAllocs, largeBytes := perEdit(4096)
-	t.Logf("per edit: %.0f allocations, %.0f B at 64 clusters; %.0f, %.0f B at 4096", smallAllocs, smallBytes, largeAllocs, largeBytes)
-	if diff := largeAllocs - smallAllocs; diff > 4 || diff < -4 {
-		t.Errorf("allocations per edit: %.0f at 64 clusters, %.0f at 4096", smallAllocs, largeAllocs)
-	}
-	if largeBytes > 2*smallBytes {
-		t.Errorf("bytes per edit: %.0f at 64 clusters, %.0f at 4096", smallBytes, largeBytes)
-	}
+	checkLSAgainstReference(t, s, "after the edits")
 }
 
 // TestRetractRelistsCompactedVars covers a retraction whose collapsed
 // variables compaction already dropped from the live list: a quarter of
 // the list dies in collapses, a CanonicalVars walk compacts it, and the
 // retraction must re-list the variables it un-forwards — in creation
-// order, counted in TotalVars — and still match a from-scratch solve.
+// order, counted in TotalVars and GraphStats.Vars — and still match a
+// from-scratch solve. GraphStats.Vars reads the store's live count
+// without listing the variables.
 func TestRetractRelistsCompactedVars(t *testing.T) {
 	const clusters, size = 8, 4
 	nVars := clusters * size
@@ -706,6 +752,12 @@ func TestRetractRelistsCompactedVars(t *testing.T) {
 			t.Fatalf("%d canonical variables after the cycles collapsed, want %d", got, clusters)
 		}
 		live.sys.CanonicalVars() // compacts the collapsed variables away
+		if got := live.sys.CurrentGraphStats().Vars; got != clusters {
+			t.Fatalf("GraphStats.Vars = %d after the collapses, want %d", got, clusters)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { live.sys.CurrentGraphStats() }); allocs != 0 {
+			t.Fatalf("CurrentGraphStats makes %.0f allocations, want none", allocs)
+		}
 
 		if _, err := live.sys.RetractBatches([]uint64{ids[2]}); err != nil {
 			t.Fatal(err)
@@ -722,6 +774,9 @@ func TestRetractRelistsCompactedVars(t *testing.T) {
 		}
 		if rep.TotalVars != want {
 			t.Fatalf("TotalVars = %d, want %d", rep.TotalVars, want)
+		}
+		if got, want := live.sys.CurrentGraphStats().Vars, liveCount(live.sys); got != want {
+			t.Fatalf("GraphStats.Vars = %d after re-listing, want %d", got, want)
 		}
 		vs := live.sys.CanonicalVars()
 		if len(vs) != liveCount(live.sys) {

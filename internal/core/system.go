@@ -66,6 +66,9 @@ type System struct {
 	sweepInterval int64
 	lastSweep     int64
 
+	// markEpoch is the last epoch handed out for Var.Mark (nextMarks).
+	markEpoch uint64
+
 	work  []constraint // LIFO worklist of pending constraints
 	stats Stats
 
@@ -102,6 +105,16 @@ type System struct {
 	// Retraction bookkeeping (see retract.go); nil unless
 	// Options.Retractable, so every hook site pays one branch.
 	retract *retractState
+}
+
+// nextMarks reserves n fresh epochs for Var.Mark and returns the first.
+// The chain search and the least-solution walk both draw from it, so a
+// mark left by one is always older than every epoch the other compares
+// against.
+func (s *System) nextMarks(n uint64) uint64 {
+	first := s.markEpoch + 1
+	s.markEpoch += n
+	return first
 }
 
 // maxErrors bounds how many inconsistent-constraint errors a System
