@@ -106,23 +106,41 @@ func (r *Result) LocationByName(name string) *Location {
 // terms in the least solution of X_l, in deterministic (first-reached)
 // order. This is the points-to graph the paper's client computes.
 func (r *Result) PointsTo(l *Location) []*Location {
+	ls := r.Sys.LeastSolution(l.Content)
 	var out []*Location
-	for _, t := range r.Sys.LeastSolution(l.Content) {
+	for i, t := range ls {
 		if tgt, ok := r.locOf[t]; ok {
+			if out == nil {
+				out = make([]*Location, 0, len(ls)-i)
+			}
 			out = append(out, tgt)
 		}
 	}
 	return out
 }
 
-// PointsToNames returns the names of PointsTo(l).
+// PointsToNames returns the names of PointsTo(l), read straight from the
+// least solution into one slice.
 func (r *Result) PointsToNames(l *Location) []string {
-	ls := r.PointsTo(l)
-	names := make([]string, len(ls))
-	for i, t := range ls {
-		names[i] = t.Name
+	ls := r.Sys.LeastSolution(l.Content)
+	names := make([]string, 0, len(ls))
+	for _, t := range ls {
+		if tgt, ok := r.locOf[t]; ok {
+			names = append(names, tgt.Name)
+		}
 	}
 	return names
+}
+
+// numPointsTo returns len(PointsTo(l)) without building the slice.
+func (r *Result) numPointsTo(l *Location) int {
+	n := 0
+	for _, t := range r.Sys.LeastSolution(l.Content) {
+		if _, ok := r.locOf[t]; ok {
+			n++
+		}
+	}
+	return n
 }
 
 // PointsToEdges counts the edges of the points-to graph (the sum of
@@ -130,7 +148,7 @@ func (r *Result) PointsToNames(l *Location) []string {
 func (r *Result) PointsToEdges() int {
 	n := 0
 	for _, l := range r.Locations {
-		n += len(r.PointsTo(l))
+		n += r.numPointsTo(l)
 	}
 	return n
 }

@@ -78,7 +78,7 @@ type PointsToStats struct {
 func (r *Result) Stats() PointsToStats {
 	st := PointsToStats{Locations: len(r.Locations)}
 	for _, l := range r.Locations {
-		n := len(r.PointsTo(l))
+		n := r.numPointsTo(l)
 		if n == 0 {
 			continue
 		}

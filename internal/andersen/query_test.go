@@ -7,9 +7,8 @@ import (
 	"polce"
 )
 
-func queryResult(t *testing.T) *Result {
-	t.Helper()
-	return analyze(t, `
+// queryProgram gives q two targets and fp a function target.
+const queryProgram = `
 int x, y, z;
 int *p, *q, *r;
 int *id(int *a) { return a; }
@@ -22,7 +21,11 @@ void f(void) {
 	r = &z;
 	p = fp(p);
 }
-`, Options{Form: polce.IF, Cycles: polce.CycleOnline, Seed: 3})
+`
+
+func queryResult(t *testing.T) *Result {
+	t.Helper()
+	return analyze(t, queryProgram, Options{Form: polce.IF, Cycles: polce.CycleOnline, Seed: 3})
 }
 
 func TestMayAlias(t *testing.T) {

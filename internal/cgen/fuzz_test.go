@@ -2,6 +2,8 @@ package cgen
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,4 +81,49 @@ func TestTokenizeNeverPanics(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLexLongUnexpectedRun lexes 1 MiB of a byte that starts no token.
+// Under a 32 MiB stack cap, a lexer that retried recursively once per byte
+// would die of a fatal stack overflow, which recover cannot catch; the
+// run must come back as one error and no tokens.
+func TestLexLongUnexpectedRun(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	src := "int x;\n" + strings.Repeat("@", 1<<20) + "\nint y;"
+	toks, errs := Tokenize(src)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "2:1: unexpected character '@' and 1048575 more") {
+		t.Fatalf("errors = %v, want one error for the whole run at 2:1", errs)
+	}
+	if len(toks) != 6 {
+		t.Fatalf("lexed %d tokens around the run, want 6", len(toks))
+	}
+	if f, errs := Parse("run.c", src); len(errs) != 1 || len(f.Decls) != 2 {
+		t.Fatalf("Parse: %d errors and %d declarations, want 1 and 2", len(errs), len(f.Decls))
+	}
+}
+
+// FuzzParse checks the mini-C front end on arbitrary bytes: Tokenize and
+// Parse never panic, every token's text lies inside the source and starts
+// after the previous token's ends, and two parses of one input print the
+// same. It does not require Print∘Parse to be a fixed point: a few inputs
+// print a nameless declaration that the re-parse drops. The committed
+// corpus (testdata/fuzz/FuzzParse) holds the mutation base above, a token
+// soup, a small generated program, a run of bytes above 0x7f, and an
+// unterminated comment and string.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		toks, _ := Tokenize(src)
+		end := int32(0)
+		for i, tok := range toks {
+			if tok.Off < end || tok.Len < 0 || int(tok.Off)+int(tok.Len) > len(src) || (i > 0 && tok.Off <= toks[i-1].Off) {
+				t.Fatalf("token %d (%s) spans [%d, %d): want inside [%d, %d] and after token %d", i, tok.Kind, tok.Off, tok.Off+tok.Len, end, len(src), i-1)
+			}
+			end = tok.Off + tok.Len
+		}
+		f1, _ := Parse("fuzz.c", src)
+		f2, _ := Parse("fuzz.c", src)
+		if p1, p2 := Print(f1), Print(f2); p1 != p2 {
+			t.Fatalf("two parses print differently:\n%s\n----\n%s", p1, p2)
+		}
+	})
 }

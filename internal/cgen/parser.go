@@ -11,6 +11,7 @@ import (
 // consults its typedef table when deciding whether an identifier starts a
 // type) and recovers from errors at declaration/statement granularity.
 type Parser struct {
+	src      string // the source the tokens' text is read from
 	toks     []Token
 	pos      int
 	typedefs map[string]*Type
@@ -27,6 +28,7 @@ type bailout struct{}
 func Parse(name, src string) (*File, []error) {
 	toks, lexErrs := Tokenize(src)
 	p := &Parser{
+		src:      src,
 		toks:     toks,
 		typedefs: map[string]*Type{},
 		enums:    map[string]bool{},
@@ -40,7 +42,7 @@ func Parse(name, src string) (*File, []error) {
 		})
 		if p.pos == start {
 			// no progress: skip the offending token
-			p.errorf("unexpected %s %q", p.cur().Kind, p.cur().Text)
+			p.errorf("unexpected %s %q", p.cur().Kind, p.text())
 			p.pos++
 		}
 	}
@@ -80,6 +82,9 @@ func (p *Parser) peekAt(n int) Token {
 	return Token{Kind: EOF}
 }
 
+// text returns the current token's spelling.
+func (p *Parser) text() string { return p.cur().Text(p.src) }
+
 func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
@@ -93,7 +98,7 @@ func (p *Parser) accept(k Kind) bool {
 func (p *Parser) expect(k Kind) Token {
 	t := p.cur()
 	if t.Kind != k {
-		p.bail("expected %s, found %s %q", k, t.Kind, t.Text)
+		p.bail("expected %s, found %s %q", k, t.Kind, t.Text(p.src))
 	}
 	p.pos++
 	return t
@@ -152,7 +157,7 @@ func (p *Parser) startsType() bool {
 		KwStatic, KwExtern, KwConst, KwVolatile, KwRegister, KwAuto:
 		return true
 	case Ident:
-		_, ok := p.typedefs[p.cur().Text]
+		_, ok := p.typedefs[p.text()]
 		return ok
 	}
 	return false
@@ -171,7 +176,7 @@ func (p *Parser) parseDeclSpecs() (base *Type, isTypedef bool) {
 		case KwStatic, KwExtern, KwConst, KwVolatile, KwRegister, KwAuto:
 			p.pos++ // storage classes and qualifiers don't affect the analysis
 		case KwInt, KwChar, KwShort, KwLong, KwFloat, KwDouble, KwUnsigned, KwSigned:
-			baseWords = append(baseWords, t.Text)
+			baseWords = append(baseWords, t.Text(p.src))
 			p.pos++
 		case KwVoid:
 			base = VoidType
@@ -181,7 +186,7 @@ func (p *Parser) parseDeclSpecs() (base *Type, isTypedef bool) {
 		case KwEnum:
 			base = p.parseEnumSpec()
 		case Ident:
-			if td, ok := p.typedefs[t.Text]; ok && base == nil && len(baseWords) == 0 {
+			if td, ok := p.typedefs[t.Text(p.src)]; ok && base == nil && len(baseWords) == 0 {
 				base = td
 				p.pos++
 				continue
@@ -208,7 +213,7 @@ func (p *Parser) parseRecordSpec(union bool) *Type {
 	p.pos++ // struct/union
 	tag := ""
 	if p.at(Ident) {
-		tag = p.cur().Text
+		tag = p.text()
 		p.pos++
 	}
 	typ := &Type{Kind: TStruct, Tag: tag}
@@ -245,14 +250,14 @@ func (p *Parser) parseEnumSpec() *Type {
 	p.pos++ // enum
 	tag := ""
 	if p.at(Ident) {
-		tag = p.cur().Text
+		tag = p.text()
 		p.pos++
 	}
 	if p.at(LBrace) {
 		p.expect(LBrace)
 		decl := &EnumDecl{Tag: tag}
 		for !p.at(RBrace) && !p.at(EOF) {
-			name := p.expect(Ident).Text
+			name := p.expect(Ident).Text(p.src)
 			decl.Names = append(decl.Names, name)
 			p.enums[name] = true
 			if p.accept(Assign) {
@@ -280,7 +285,7 @@ func (p *Parser) parseExternalDecl() {
 	}
 	name, typ, params := p.parseDeclarator(base)
 	if typ != nil && typ.Kind == TFunc && p.at(LBrace) {
-		fd := &FuncDecl{Name: name, Type: typ, Params: params, Line: p.cur().Line}
+		fd := &FuncDecl{Name: name, Type: typ, Params: params, Line: int(p.cur().Line)}
 		fd.Body = p.parseBlock()
 		p.file.Decls = append(p.file.Decls, fd)
 		return
@@ -300,9 +305,9 @@ func (p *Parser) finishDeclarators(base *Type, isTypedef bool, name string, typ 
 				sink(&TypedefDecl{Name: name, Type: typ})
 			}
 		} else if typ != nil && typ.Kind == TFunc {
-			sink(&FuncDecl{Name: name, Type: typ, Params: params, Line: p.cur().Line}) // prototype
+			sink(&FuncDecl{Name: name, Type: typ, Params: params, Line: int(p.cur().Line)}) // prototype
 		} else {
-			vd := &VarDecl{Name: name, Type: typ, Line: p.cur().Line}
+			vd := &VarDecl{Name: name, Type: typ, Line: int(p.cur().Line)}
 			if p.accept(Assign) {
 				vd.Init = p.parseInitializer()
 			}
@@ -342,7 +347,7 @@ func (p *Parser) parseDeclarator(base *Type) (string, *Type, []*VarDecl) {
 	var innerStart, innerEnd int = -1, -1
 	switch {
 	case p.at(Ident):
-		name = p.cur().Text
+		name = p.text()
 		p.pos++
 	case p.at(LParen) && p.startsDeclaratorAfterLParen():
 		// Parenthesised declarator: remember the token span and re-parse
@@ -435,7 +440,7 @@ func (p *Parser) startsDeclaratorAfterLParen() bool {
 	case Star, LParen, LBracket:
 		return true
 	case Ident:
-		_, isType := p.typedefs[n.Text]
+		_, isType := p.typedefs[n.Text(p.src)]
 		return !isType
 	}
 	return false
@@ -458,7 +463,7 @@ func (p *Parser) parseParamList() (params []*VarDecl, variadic bool) {
 		if !p.startsType() {
 			// K&R identifier list: accept bare names as int parameters.
 			if p.at(Ident) {
-				params = append(params, &VarDecl{Name: p.cur().Text, Type: IntType})
+				params = append(params, &VarDecl{Name: p.text(), Type: IntType})
 				p.pos++
 			} else {
 				p.bail("expected parameter declaration, found %s", p.cur().Kind)
@@ -632,7 +637,7 @@ func (p *Parser) parseStmt() Stmt {
 		return &Continue{}
 	case KwGoto:
 		p.pos++
-		name := p.expect(Ident).Text
+		name := p.expect(Ident).Text(p.src)
 		p.expect(Semi)
 		return &Goto{Name: name}
 	case KwSwitch:
@@ -658,7 +663,7 @@ func (p *Parser) parseStmt() Stmt {
 		return &Case{Body: p.parseStmt()}
 	case Ident:
 		if p.peekAt(1).Kind == Colon {
-			name := p.cur().Text
+			name := p.text()
 			p.pos += 2
 			return &Label{Name: name, Body: p.parseStmt()}
 		}
@@ -743,7 +748,7 @@ func (p *Parser) startsTypeNameAfterLParen() bool {
 		KwUnsigned, KwSigned, KwStruct, KwUnion, KwEnum, KwConst, KwVolatile:
 		return true
 	case Ident:
-		_, ok := p.typedefs[n.Text]
+		_, ok := p.typedefs[n.Text(p.src)]
 		return ok
 	}
 	return false
@@ -794,7 +799,7 @@ func (p *Parser) parsePostfixExpr() Expr {
 		case LParen:
 			tok := p.cur()
 			p.pos++
-			call := &CallExpr{Fun: x, Line: tok.Line, Col: tok.Col}
+			call := &CallExpr{Fun: x, Line: int(tok.Line), Col: int(tok.Col)}
 			for !p.at(RParen) && !p.at(EOF) {
 				call.Args = append(call.Args, p.parseAssignExpr())
 				if !p.accept(Comma) {
@@ -805,10 +810,10 @@ func (p *Parser) parsePostfixExpr() Expr {
 			x = call
 		case Dot:
 			p.pos++
-			x = &MemberExpr{X: x, Name: p.expect(Ident).Text}
+			x = &MemberExpr{X: x, Name: p.expect(Ident).Text(p.src)}
 		case Arrow:
 			p.pos++
-			x = &MemberExpr{X: x, Name: p.expect(Ident).Text, Arrow: true}
+			x = &MemberExpr{X: x, Name: p.expect(Ident).Text(p.src), Arrow: true}
 		case Inc, Dec:
 			x = &PostfixExpr{Op: p.cur().Kind, X: x}
 			p.pos++
@@ -820,34 +825,34 @@ func (p *Parser) parsePostfixExpr() Expr {
 
 func (p *Parser) parsePrimaryExpr() Expr {
 	t := p.cur()
+	text := t.Text(p.src)
 	switch t.Kind {
 	case Ident:
 		p.pos++
-		return &IdentExpr{Name: t.Text, Line: t.Line}
+		return &IdentExpr{Name: text, Line: int(t.Line)}
 	case IntLit:
 		p.pos++
-		return &IntExpr{Text: t.Text}
+		return &IntExpr{Text: text}
 	case CharLit:
 		p.pos++
-		return &IntExpr{Text: "'" + t.Text + "'"}
+		return &IntExpr{Text: "'" + text + "'"}
 	case FloatLit:
 		p.pos++
-		return &FloatExpr{Text: t.Text}
+		return &FloatExpr{Text: text}
 	case StrLit:
 		p.pos++
 		// Adjacent string literals concatenate.
-		text := t.Text
 		for p.at(StrLit) {
-			text += p.cur().Text
+			text += p.text()
 			p.pos++
 		}
-		return &StrExpr{Text: text, Line: t.Line, Col: t.Col}
+		return &StrExpr{Text: text, Line: int(t.Line), Col: int(t.Col)}
 	case LParen:
 		p.pos++
 		x := p.parseExpr()
 		p.expect(RParen)
 		return x
 	}
-	p.bail("expected expression, found %s %q", t.Kind, t.Text)
+	p.bail("expected expression, found %s %q", t.Kind, text)
 	return nil
 }

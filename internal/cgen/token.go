@@ -14,7 +14,7 @@ package cgen
 import "fmt"
 
 // Kind classifies a lexical token.
-type Kind int
+type Kind int32
 
 // Token kinds. Single-character operators use their own rune value space
 // via the named constants below so the parser can switch on Kind alone.
@@ -160,13 +160,22 @@ var keywords = map[string]Kind{
 	"default": KwDefault, "goto": KwGoto, "sizeof": KwSizeof,
 }
 
-// Token is one lexical token with its source position.
+// Token is one lexical token: its kind, its source position, and where its
+// spelling lies in the source. It holds no pointer, so a token buffer is 20
+// bytes a token and the garbage collector never scans it.
 type Token struct {
 	Kind Kind
-	Text string // identifier or literal spelling
-	Line int
-	Col  int
+	Line int32
+	Col  int32
+	// Off and Len place the token's text in the source: the spelling of an
+	// identifier, keyword or number, a character or string literal without
+	// its quotes, and the empty string at Off for an operator or EOF.
+	Off int32
+	Len int32
 }
+
+// Text returns the token's spelling in src, the source it was lexed from.
+func (t Token) Text(src string) string { return src[t.Off : t.Off+t.Len] }
 
 // Pos renders the token's position for diagnostics.
 func (t Token) Pos() string { return fmt.Sprintf("%d:%d", t.Line, t.Col) }

@@ -41,7 +41,8 @@ type LSCacheState struct {
 	InternedNodes int `json:"interned_nodes"`
 	MemoEntries   int `json:"memo_entries"`
 	// PendingDirty is the number of variables marked dirty since the last
-	// pass — the seed of the next pass's cone.
+	// pass — the seed of the next pass's cone. Always zero under standard
+	// form, which runs no pass.
 	PendingDirty int `json:"pending_dirty"`
 }
 

@@ -310,11 +310,14 @@ func (s *System) runLeastSolutionPass() {
 
 // markLS records that y's least solution may have changed: a real edge
 // mutation bumps the graph version (invalidating the version-keyed cache)
-// and seeds y into the next pass's dirty cone. Redundant edge additions
-// never reach this, which is what keeps the cache hot under re-adds.
+// and, under inductive form, seeds y into the next pass's dirty cone.
+// Standard form runs no pass to drain that list, so it lists nothing; its
+// snapshot caches and the drain-order fingerprint still key on the
+// version. Redundant edge additions never reach this, which is what keeps
+// the cache hot under re-adds.
 func (s *System) markLS(y *Var) {
 	s.graphVersion++
-	if !y.Sol.Pending {
+	if s.opt.Form != SF && !y.Sol.Pending {
 		y.Sol.Pending = true
 		s.lsPending = append(s.lsPending, y)
 	}

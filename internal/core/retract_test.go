@@ -709,6 +709,33 @@ func TestLSPendingListsEachVarOnce(t *testing.T) {
 	checkLSAgainstReference(t, s, "after the edits")
 }
 
+// TestSFListsNoPendingVars checks that standard form, which runs no
+// least-solution pass to drain the pending list, puts nothing on it: the
+// list stays empty after adds and after a retraction, while the graph
+// version the snapshot caches key on still moves with each edit.
+func TestSFListsNoPendingVars(t *testing.T) {
+	s, vars, atoms, ids := clusterSystem(Options{Form: SF, Cycles: CycleOnline, Seed: 11, Retractable: true}, 4)
+	check := func(when string, version uint64) {
+		t.Helper()
+		if st := s.LSCacheState(); st.PendingDirty != 0 || !st.Hot {
+			t.Fatalf("%s: LSCacheState = %+v, want hot with nothing pending", when, st)
+		}
+		if s.Version() <= version {
+			t.Fatalf("%s: graph version %d did not move past %d", when, s.Version(), version)
+		}
+	}
+	check("after the adds", 0)
+	v := s.Version()
+	if _, err := s.RetractBatches([]uint64{ids[0]}); err != nil {
+		t.Fatal(err)
+	}
+	check("after the retraction", v)
+	v = s.Version()
+	ids[0] = addCluster(s, vars[0], atoms[0])
+	check("after the re-add", v)
+	checkLSAgainstReference(t, s, "after the edits")
+}
+
 // TestRetractRelistsCompactedVars covers a retraction whose collapsed
 // variables compaction already dropped from the live list: a quarter of
 // the list dies in collapses, a CanonicalVars walk compacts it, and the
