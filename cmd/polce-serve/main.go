@@ -91,7 +91,7 @@ func main() {
 
 		walDir     = flag.String("wal", "", "directory of the durable constraint log; replayed on startup, appended per accepted batch")
 		walSync    = flag.String("wal-sync", "always", "constraint-log fsync policy: always (per accepted batch), batch (at queue-empty), off")
-		walSession = flag.String("wal-session", "default", "session label recorded in each log frame")
+		walSession = flag.String("wal-session", "default", "the session whose reads also resolve variables created outside any session (each log frame records its own request's session)")
 
 		walVerify   = flag.String("wal-verify", "", "audit this constraint-log directory and exit without serving: replay it standalone and check the recovered graph against its manifest (recording it on first run)")
 		walManifest = flag.String("wal-manifest", "", "manifest path for -wal-verify (default <dir>/manifest.json)")

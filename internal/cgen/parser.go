@@ -232,7 +232,9 @@ func (p *Parser) parseRecordSpec(union bool) *Type {
 			if p.accept(Colon) { // bit-field width
 				p.parseCondExpr()
 			}
-			rec.Fields = append(rec.Fields, &VarDecl{Name: name, Type: ftyp})
+			if name != "" { // a nameless declarator declares nothing, like a `T;` member
+				rec.Fields = append(rec.Fields, &VarDecl{Name: name, Type: ftyp})
+			}
 			if !p.accept(Comma) {
 				break
 			}

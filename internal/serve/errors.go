@@ -30,60 +30,41 @@ var ErrNotFound = errors.New("serve: not found")
 // Reads are unaffected.
 var ErrWALFailed = errors.New("serve: constraint log write failed; ingestion disabled until restart")
 
-// statusTable is the one place the solver's typed errors meet HTTP. Order
-// matters only for readability; the sentinels are disjoint.
+// statusTable is the one place the solver's typed errors meet HTTP: each
+// sentinel's status and the kind string the JSON error body carries.
+// Order matters only for readability; the sentinels are disjoint.
 var statusTable = []struct {
 	sentinel error
 	code     int
+	kind     string
 }{
-	{polce.ErrInconsistent, http.StatusConflict},          // 409
-	{polce.ErrQueueFull, http.StatusServiceUnavailable},   // 503 (+ Retry-After)
-	{polce.ErrSolverClosed, http.StatusGone},              // 410
-	{polce.ErrUnknownBatch, http.StatusNotFound},          // 404: handle never issued or already retracted
-	{polce.ErrNotRetractable, http.StatusNotImplemented},  // 501: server runs without -retractable
-	{ErrUnknownVar, http.StatusNotFound},                  // 404
-	{ErrNotFound, http.StatusNotFound},                    // 404
-	{ErrBadRequest, http.StatusBadRequest},                // 400
-	{context.DeadlineExceeded, http.StatusGatewayTimeout}, // 504
-	{context.Canceled, http.StatusServiceUnavailable},     // client went away / draining
+	{polce.ErrInconsistent, http.StatusConflict, "inconsistent"},
+	{polce.ErrQueueFull, http.StatusServiceUnavailable, "queue_full"}, // + Retry-After
+	{polce.ErrSolverClosed, http.StatusGone, "closed"},
+	{polce.ErrUnknownBatch, http.StatusNotFound, "unknown_batch"},           // handle never issued or already retracted
+	{polce.ErrNotRetractable, http.StatusNotImplemented, "not_retractable"}, // server runs without -retractable
+	{ErrUnknownVar, http.StatusNotFound, "unknown_var"},
+	{ErrNotFound, http.StatusNotFound, "not_found"},
+	{ErrBadRequest, http.StatusBadRequest, "bad_request"},
+	{ErrWALFailed, http.StatusInternalServerError, "wal_failed"},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
+	{context.Canceled, http.StatusServiceUnavailable, "canceled"}, // client went away / draining
 }
 
 // StatusOf maps an error to its HTTP status via the table; unrecognised
 // errors are 500s.
 func StatusOf(err error) int {
-	for _, row := range statusTable {
-		if errors.Is(err, row.sentinel) {
-			return row.code
-		}
-	}
-	return http.StatusInternalServerError
+	code, _ := classify(err)
+	return code
 }
 
-// kindOf names the error kind for the JSON body, mirroring the table.
-func kindOf(err error) string {
-	switch {
-	case errors.Is(err, polce.ErrInconsistent):
-		return "inconsistent"
-	case errors.Is(err, polce.ErrQueueFull):
-		return "queue_full"
-	case errors.Is(err, polce.ErrSolverClosed):
-		return "closed"
-	case errors.Is(err, polce.ErrUnknownBatch):
-		return "unknown_batch"
-	case errors.Is(err, polce.ErrNotRetractable):
-		return "not_retractable"
-	case errors.Is(err, ErrUnknownVar):
-		return "unknown_var"
-	case errors.Is(err, ErrNotFound):
-		return "not_found"
-	case errors.Is(err, ErrBadRequest):
-		return "bad_request"
-	case errors.Is(err, ErrWALFailed):
-		return "wal_failed"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
+// classify finds err's row in the table: its status and the kind the JSON
+// error body names, or 500 and "internal" when no sentinel matches.
+func classify(err error) (code int, kind string) {
+	for _, row := range statusTable {
+		if errors.Is(err, row.sentinel) {
+			return row.code, row.kind
+		}
 	}
-	return "internal"
+	return http.StatusInternalServerError, "internal"
 }

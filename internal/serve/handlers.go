@@ -65,6 +65,25 @@ func (s *Server) sessionLabel(r *http.Request) (string, error) {
 	return label, nil
 }
 
+// validSessionLabel bounds what a {session} path element may be: 1–64
+// bytes of letters, digits, dot, underscore and dash. The bound keeps
+// labels safe for WAL frames, log lines and metric help text alike.
+func validSessionLabel(label string) error {
+	if label == "" || len(label) > 64 {
+		return fmt.Errorf("%w: session label must be 1-64 characters", ErrBadRequest)
+	}
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '.', c == '_', c == '-':
+		default:
+			return fmt.Errorf("%w: session label may contain only letters, digits, '.', '_' and '-'", ErrBadRequest)
+		}
+	}
+	return nil
+}
+
 // etagOf renders the strong entity tag of a snapshot version. The graph
 // version is monotone and advances exactly on mutations that can change
 // some least solution, so equal tags imply byte-equal response bodies for
@@ -125,11 +144,11 @@ func (s *Server) handle(route, pattern string, h func(http.ResponseWriter, *http
 // writeError renders err through the status table, attaching the backoff
 // hint to 503s.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	code := StatusOf(err)
+	code, kind := classify(err)
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
-	writeJSON(w, code, map[string]any{"error": err.Error(), "kind": kindOf(err)})
+	writeJSON(w, code, map[string]any{"error": err.Error(), "kind": kind})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -162,17 +181,15 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	job, err := s.accept(r.Context(), label, src)
+	job, err := s.accept(r.Context(), wal.FrameConstraints, label, src, nil)
 	if err != nil {
 		return err
 	}
 	// Under SyncAlways the frame reaches stable storage before any ack —
-	// outside the session lock, so concurrent accepts share one fsync and
-	// reads never queue behind the disk.
-	if s.wal != nil && s.wal.Policy() == wal.SyncAlways {
-		if err := s.durable(job); err != nil {
-			return err
-		}
+	// outside acceptMu, so concurrent accepts share one fsync and reads
+	// never queue behind the disk.
+	if err := s.durable(job); err != nil {
+		return err
 	}
 	if r.URL.Query().Get("wait") == "" {
 		resp := map[string]any{"accepted": len(job.batch), "queue_len": s.QueueLen(), "session": label}
@@ -243,14 +260,12 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) error {
 	if err != nil || handle == 0 {
 		return fmt.Errorf("%w: batch handle must be a positive integer", ErrBadRequest)
 	}
-	job, err := s.acceptRetract(r.Context(), label, []uint64{handle})
+	job, err := s.accept(r.Context(), wal.FrameRetract, label, "", []uint64{handle})
 	if err != nil {
 		return err
 	}
-	if s.wal != nil && s.wal.Policy() == wal.SyncAlways {
-		if err := s.durable(job); err != nil {
-			return err
-		}
+	if err := s.durable(job); err != nil {
+		return err
 	}
 	// Unlike POST there is no fire-and-forget mode: the client needs the
 	// validation outcome (the handle may be unknown), so DELETE always
@@ -334,10 +349,8 @@ func (s *Server) query(r *http.Request) (*polce.Snapshot, *polce.Var, error) {
 		return nil, nil, err
 	}
 	trackFrom(r.Context()).queried(name, snap.Version())
-	if ss, ok := s.sessions.peek(label); ok {
-		if v, ok := ss.lookup(name); ok {
-			return snap, v, nil
-		}
+	if v, ok := s.stream.Lookup(label, name); ok {
+		return snap, v, nil
 	}
 	if label == s.cfg.WALSession {
 		if v := snap.VarByName(name); v != nil {
@@ -426,20 +439,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sessionVars := 0
-	if ss, ok := s.sessions.peek(label); ok {
-		sessionVars = ss.vars()
-	}
+	sessionVars, sessions, retracted := s.stream.Counts(label)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":      snap.Version(),
 		"form":         snap.Form().String(),
 		"vars":         snap.NumVars(),
 		"session":      label,
 		"session_vars": sessionVars,
-		"sessions":     s.sessions.count(),
+		"sessions":     sessions,
 		"retractable":  s.solver.Retractable(),
 		"batches":      s.solver.BatchCount(),
-		"retracted":    s.retracted.Load(),
+		"retracted":    retracted,
 		"errors":       snap.ErrorCount(),
 		"stats":        snap.Stats(),
 		"queue_len":    s.QueueLen(),

@@ -43,38 +43,38 @@ type ingestResult struct {
 	err     error
 }
 
-// handleEntry resolves one issued retraction handle: the session it was
-// issued under and the solver batch the ingester recorded at apply time.
-type handleEntry struct {
-	session string
-	id      polce.BatchID
-}
-
-// accept is the whole write-side admission path, one atomic step under the
-// session lock: reserve a queue slot, parse and lower the SCL text, append
-// the frame to the constraint log, and hand the job to the ingester.
+// accept is the whole write-side admission path, one atomic step under
+// acceptMu: check for room in the queue, parse and lower the SCL text (a
+// constraints job) or render the retract frame (a retract job), append the
+// frame to the constraint log, and hand the job to the ingester.
 //
 // The ordering discipline here is what makes WAL replay bit-identical to
 // the live run. Lowering creates solver variables (first use calls Fresh),
 // and the seeded variable order o(·) — which decides edge orientation —
 // depends on creation order; so the log must record frames in exactly the
-// order lowering ran. Holding the session lock across parse + append +
-// enqueue forces accept order = frame order = queue order = apply order,
+// order lowering ran. Holding acceptMu across parse + append + enqueue,
+// across every session (lowering interns variables into the one shared
+// solver), forces accept order = frame order = queue order = apply order,
 // and replaying frames in sequence reproduces both the variable creation
 // order and the constraint application order.
 //
-// The slot is reserved before anything mutates: a full queue
-// (ErrQueueFull → 503 + Retry-After) and a draining server
-// (ErrSolverClosed → 410) are refused while the session, the log and the
-// solver are still exactly as before the call, so a refused batch leaves
-// no trace — in particular no orphan variables that would skew the seeded
-// order of later batches against replay.
+// Refusals come before anything mutates: a full queue (ErrQueueFull → 503
+// + Retry-After), a draining server (ErrSolverClosed → 410) and a DELETE
+// on a solver that does not track batches (ErrNotRetractable → 501) leave
+// the sessions, the log and the solver exactly as before the call — in
+// particular no orphan variables that would skew the seeded order of
+// later batches against replay. Only accept sends on the queue, and only
+// under acceptMu, so the room seen before parsing is still there at the
+// send.
 //
-// With multiple sessions the serialisation point is acceptMu, held across
-// every session: lowering interns variables into the one shared solver, so
-// cross-session creation order must equal frame order too.
-func (s *Server) accept(ctx context.Context, label, src string) (*ingestJob, error) {
+// A retract job is validated at apply time, behind every batch accepted
+// before it (its target may still be queued); one that fails validation
+// has still consumed a frame, which replay skips the same way.
+func (s *Server) accept(ctx context.Context, kind wal.FrameKind, label, text string, targets []uint64) (*ingestJob, error) {
 	// Fast refusals, before any lock.
+	if kind == wal.FrameRetract && !s.solver.Retractable() {
+		return nil, polce.ErrNotRetractable
+	}
 	if s.draining.Load() {
 		return nil, polce.ErrSolverClosed
 	}
@@ -92,118 +92,40 @@ func (s *Server) accept(ctx context.Context, label, src string) (*ingestJob, err
 	if s.draining.Load() {
 		return nil, polce.ErrSolverClosed
 	}
-
 	s.acceptMu.Lock()
 	defer s.acceptMu.Unlock()
-
-	// Reserve a queue slot. slots and queue share a capacity, and a held
-	// slot guarantees the channel send below cannot block.
-	select {
-	case s.slots <- struct{}{}:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		return nil, polce.ErrQueueFull
 	}
-	held := true
-	defer func() {
-		if held {
-			<-s.slots
-		}
-	}()
 
-	batch, err := s.sessions.get(label).parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	var batch []polce.Constraint
+	if kind == wal.FrameRetract {
+		text = walreplay.FormatRetractText(targets)
+	} else {
+		var err error
+		if batch, err = s.stream.Parse(label, text); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	job := &ingestJob{
-		kind:    wal.FrameConstraints,
+		kind:    kind,
 		session: label,
 		batch:   batch,
-		ctx:     context.WithoutCancel(ctx),
-		at:      time.Now(),
-		done:    make(chan ingestResult, 1),
-	}
-
-	if s.wal != nil {
-		start := time.Now()
-		seq, err := s.wal.Append(wal.FrameConstraints, label, src)
-		if err != nil {
-			// The session already absorbed the batch but the log did not.
-			// Appending further frames would leave a gap, so the log is
-			// poisoned: ingestion refuses with ErrWALFailed until restart
-			// (reads keep working) and the log on disk stays a consistent
-			// prefix of what was acknowledged.
-			s.walFailed.Store(true)
-			s.logError("wal append failed; refusing further ingestion", err)
-			return nil, fmt.Errorf("%w: %v", ErrWALFailed, err)
-		}
-		job.seq = seq
-		s.qmetrics.walAppend(time.Since(start))
-	}
-	if s.solver.Retractable() {
-		// The retraction handle is the WAL sequence number — the log and
-		// the API share one naming scheme, so a logged retract frame's
-		// targets are frame seqs — or a process-local counter when the
-		// log is off.
-		if job.seq != 0 {
-			job.handle = job.seq
-		} else {
-			job.handle = s.handleSeq.Add(1)
-		}
-	}
-
-	s.ages.push(job.at)
-	s.queue <- job // cannot block: the slot is held
-	held = false
-	return job, nil
-}
-
-// acceptRetract is accept for DELETE: it logs a retract frame naming the
-// target handles and enqueues the retraction behind every already-accepted
-// batch, so a retraction applies against exactly the state its stream
-// position implies — on the live solver and under replay alike. Handle
-// validation happens at apply time (the target batch may still be queued
-// ahead of us); a retraction that fails validation has still consumed a
-// frame, which replay skips the same way the live apply refused it.
-func (s *Server) acceptRetract(ctx context.Context, label string, targets []uint64) (*ingestJob, error) {
-	if !s.solver.Retractable() {
-		return nil, polce.ErrNotRetractable
-	}
-	if s.draining.Load() {
-		return nil, polce.ErrSolverClosed
-	}
-	if s.walFailed.Load() {
-		return nil, ErrWALFailed
-	}
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining.Load() {
-		return nil, polce.ErrSolverClosed
-	}
-	s.acceptMu.Lock()
-	defer s.acceptMu.Unlock()
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		return nil, polce.ErrQueueFull
-	}
-	held := true
-	defer func() {
-		if held {
-			<-s.slots
-		}
-	}()
-	job := &ingestJob{
-		kind:    wal.FrameRetract,
-		session: label,
 		targets: targets,
 		ctx:     context.WithoutCancel(ctx),
 		at:      time.Now(),
 		done:    make(chan ingestResult, 1),
 	}
+
 	if s.wal != nil {
 		start := time.Now()
-		seq, err := s.wal.Append(wal.FrameRetract, label, walreplay.FormatRetractText(targets))
+		seq, err := s.wal.Append(kind, label, text)
 		if err != nil {
+			// The frame is not in the log, though a constraints batch is
+			// already in its session. Appending further frames would
+			// leave a gap, so the log is poisoned: ingestion refuses with
+			// ErrWALFailed until restart (reads keep working) and the log
+			// on disk stays a consistent prefix of what was acknowledged.
 			s.walFailed.Store(true)
 			s.logError("wal append failed; refusing further ingestion", err)
 			return nil, fmt.Errorf("%w: %v", ErrWALFailed, err)
@@ -211,17 +133,27 @@ func (s *Server) acceptRetract(ctx context.Context, label string, targets []uint
 		job.seq = seq
 		s.qmetrics.walAppend(time.Since(start))
 	}
+	if kind == wal.FrameConstraints && s.solver.Retractable() {
+		// The retraction handle is the WAL sequence number — the log and
+		// the API share one naming scheme, so a logged retract frame's
+		// targets are frame seqs — or a process-local counter when the
+		// log is off.
+		job.handle = job.seq
+		if job.handle == 0 {
+			job.handle = s.handleSeq.Add(1)
+		}
+	}
+
 	s.ages.push(job.at)
-	s.queue <- job // cannot block: the slot is held
-	held = false
+	s.queue <- job // cannot block: checked for room under acceptMu
 	return job, nil
 }
 
 // durable blocks until the job's frame is on stable storage under
-// SyncAlways (concurrent accepts share one fsync); under batch/off it
-// returns immediately — the policy's documented trade-off.
+// SyncAlways (concurrent accepts share one fsync); with no log, or under
+// batch/off, it returns immediately — the policy's documented trade-off.
 func (s *Server) durable(job *ingestJob) error {
-	if s.wal == nil || job.seq == 0 {
+	if s.wal == nil || s.wal.Policy() != wal.SyncAlways || job.seq == 0 {
 		return nil
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -295,7 +227,6 @@ func (s *Server) resolveStragglers() {
 		select {
 		case job := <-s.queue:
 			s.ages.pop()
-			<-s.slots
 			job.done <- ingestResult{err: polce.ErrSolverClosed}
 		default:
 			return
@@ -303,130 +234,78 @@ func (s *Server) resolveStragglers() {
 	}
 }
 
-// apply runs one batch against the solver and resolves its waiter. A batch
+// apply runs one job against the solver and resolves its waiter. A batch
 // that introduced inconsistent constraints still applies in full — the
 // solver records the inconsistency and keeps going, matching AddConstraint
 // semantics — but the result carries an ErrInconsistent so synchronous
-// clients see a 409.
+// clients see a 409. A retraction resolves its handles here, after every
+// earlier job has applied, so a handle issued for a batch that was still
+// queued when the DELETE arrived resolves correctly; an unknown or
+// cross-session handle refuses the whole retraction with ErrUnknownBatch
+// (→ 404), retracting nothing.
 //
 // On a traced request, apply emits the write-path spans under the
 // request's http root: "queue-wait" (measured from enqueue to pickup) and
-// "ingest-drain" around the solve, with a "cycle-search" child sized by
-// the closure phase-timer delta — attributable because this single
-// goroutine is the only closure driver.
+// "ingest-drain" or "retract-drain" around the solver call; a batch's
+// drain gets a "cycle-search" child sized by the closure phase-timer
+// delta — attributable because this single goroutine is the only closure
+// driver.
 func (s *Server) apply(job *ingestJob) {
-	if job.kind == wal.FrameRetract {
-		s.applyRetract(job)
-		return
-	}
 	wait := time.Since(job.at)
-	s.qmetrics.observeWait(wait, len(job.batch))
-	// Order matters for the oldest-age gauge: the batch becomes "applying"
+	// Order matters for the oldest-age gauge: the job becomes "applying"
 	// before it stops being "queued", so the gauge never reads idle while
-	// work is outstanding. The slot frees at pickup, restoring queue
-	// capacity the moment the channel has room again.
+	// work is outstanding.
 	s.applyingSince.Store(job.at.UnixNano())
 	defer s.applyingSince.Store(0)
 	s.ages.pop()
-	<-s.slots
-	s.tracer.Emit(job.ctx, "queue-wait", job.at, wait, map[string]any{"batch": len(job.batch)})
-	drainCtx, span := s.tracer.StartSpan(job.ctx, "ingest-drain")
-	span.SetAttr("batch", len(job.batch))
+	retract := job.kind == wal.FrameRetract
+	name, key, size := "ingest-drain", "batch", len(job.batch)
+	if retract {
+		name, key, size = "retract-drain", "targets", len(job.targets)
+	} else {
+		s.qmetrics.observeWait(wait, size)
+	}
+	s.tracer.Emit(job.ctx, "queue-wait", job.at, wait, map[string]any{key: size})
+	drainCtx, span := s.tracer.StartSpan(job.ctx, name)
+	span.SetAttr(key, size)
 	if job.seq != 0 {
 		span.SetAttr("wal_seq", job.seq)
 	}
-	var closure0 time.Duration
-	if s.sm != nil && span != nil {
-		closure0, _ = s.sm.Phases.Get(telemetry.PhaseClosure)
-	}
+	res := ingestResult{wait: wait}
 	drainStart := time.Now()
-	errsBefore := s.solver.ErrorCount()
-	applied, batchID, err := s.solver.AddBatchContext(drainCtx, job.batch)
-	if job.handle != 0 && batchID != 0 {
-		s.handleMu.Lock()
-		s.handles[job.handle] = handleEntry{session: job.session, id: batchID}
-		s.handleMu.Unlock()
-	}
-	s.ingested.Add(int64(applied))
-	if err == nil {
-		if delta := s.solver.ErrorCount() - errsBefore; delta > 0 {
-			retained := s.solver.Errors()
-			if len(retained) > 0 {
-				err = fmt.Errorf("%d new inconsistency(ies), last: %w", delta, retained[len(retained)-1])
-			} else {
-				err = fmt.Errorf("%d new inconsistency(ies): %w", delta, polce.ErrInconsistent)
+	if retract {
+		res.report, res.err = s.stream.Retract(drainCtx, job.session, job.targets)
+		span.SetAttr("dirty_vars", res.report.DirtyVars)
+	} else {
+		var closure0 time.Duration
+		if s.sm != nil && span != nil {
+			closure0, _ = s.sm.Phases.Get(telemetry.PhaseClosure)
+		}
+		errsBefore := s.solver.ErrorCount()
+		res.applied, res.err = s.stream.Add(drainCtx, job.handle, job.session, job.batch)
+		s.ingested.Add(int64(res.applied))
+		if delta := s.solver.ErrorCount() - errsBefore; res.err == nil && delta > 0 {
+			last := error(polce.ErrInconsistent)
+			if retained := s.solver.Errors(); len(retained) > 0 {
+				last = retained[len(retained)-1]
+			}
+			res.err = fmt.Errorf("%d new inconsistency(ies), last: %w", delta, last)
+		}
+		if s.sm != nil && span != nil {
+			closure1, _ := s.sm.Phases.Get(telemetry.PhaseClosure)
+			if d := closure1 - closure0; d > 0 {
+				s.tracer.Emit(drainCtx, "cycle-search", drainStart, d, map[string]any{"applied": res.applied})
 			}
 		}
+		span.SetAttr("applied", res.applied)
 	}
-	if s.sm != nil && span != nil {
-		closure1, _ := s.sm.Phases.Get(telemetry.PhaseClosure)
-		if d := closure1 - closure0; d > 0 {
-			s.tracer.Emit(drainCtx, "cycle-search", drainStart, d, map[string]any{"applied": applied})
-		}
-	}
-	version := s.solver.Version()
-	s.lastVersion.Store(version)
-	drain := time.Since(drainStart)
-	span.SetAttr("applied", applied)
-	span.SetAttr("version", version)
-	span.End()
-	job.done <- ingestResult{applied: applied, version: version, wait: wait, drain: drain, err: err}
-}
-
-// applyRetract runs one retraction against the solver and resolves its
-// waiter. Handles resolve here — after every earlier job has applied, so a
-// handle issued for a batch that was still queued when the DELETE arrived
-// resolves correctly — and an unknown or cross-session handle refuses the
-// whole retraction with ErrUnknownBatch (→ 404), retracting nothing.
-func (s *Server) applyRetract(job *ingestJob) {
-	wait := time.Since(job.at)
-	s.applyingSince.Store(job.at.UnixNano())
-	defer s.applyingSince.Store(0)
-	s.ages.pop()
-	<-s.slots
-	s.tracer.Emit(job.ctx, "queue-wait", job.at, wait, map[string]any{"targets": len(job.targets)})
-	drainCtx, span := s.tracer.StartSpan(job.ctx, "retract-drain")
-	span.SetAttr("targets", len(job.targets))
-	if job.seq != 0 {
-		span.SetAttr("wal_seq", job.seq)
-	}
-	drainStart := time.Now()
-
-	var (
-		report polce.RetractReport
-		err    error
-	)
-	ids := make([]polce.BatchID, 0, len(job.targets))
-	s.handleMu.Lock()
-	for _, h := range job.targets {
-		e, ok := s.handles[h]
-		if !ok || e.session != job.session {
-			err = fmt.Errorf("%w: batch %d", polce.ErrUnknownBatch, h)
-			break
-		}
-		ids = append(ids, e.id)
-	}
-	s.handleMu.Unlock()
-	if err == nil {
-		report, err = s.solver.RetractBatchContext(drainCtx, ids...)
-	}
-	if err == nil {
-		s.handleMu.Lock()
-		for _, h := range job.targets {
-			delete(s.handles, h)
-		}
-		s.handleMu.Unlock()
-		s.retracted.Add(int64(len(job.targets)))
-	}
-
-	version := s.solver.Version()
-	s.lastVersion.Store(version)
-	drain := time.Since(drainStart)
-	span.SetAttr("dirty_vars", report.DirtyVars)
-	span.SetAttr("version", version)
-	if err != nil {
-		span.SetAttr("error", err.Error())
+	res.version = s.solver.Version()
+	s.lastVersion.Store(res.version)
+	res.drain = time.Since(drainStart)
+	span.SetAttr("version", res.version)
+	if res.err != nil {
+		span.SetAttr("error", res.err.Error())
 	}
 	span.End()
-	job.done <- ingestResult{version: version, wait: wait, drain: drain, report: report, err: err}
+	job.done <- res
 }

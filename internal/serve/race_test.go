@@ -14,14 +14,15 @@ import (
 	"time"
 
 	"polce"
+	"polce/internal/wal"
 )
 
 // TestConcurrentQueriesRaceIngestion is the service-level race test: 8
 // query goroutines hammer the read endpoints through real HTTP while one
 // writer streams constraint batches in, all against the same solver. Under
-// -race this exercises the snapshot epoch guard, the session lock and the
-// queue; functionally each reader asserts the snapshot version it observes
-// never goes backwards.
+// -race this exercises the snapshot epoch guard, the write stream's lock
+// and the queue; functionally each reader asserts the snapshot version it
+// observes never goes backwards.
 func TestConcurrentQueriesRaceIngestion(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 
@@ -219,7 +220,7 @@ func TestEnqueueShutdownRace(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < tries; i++ {
-					job, err := s.accept(context.Background(), s.cfg.WALSession, fmt.Sprintf("a%d_%d <= b%d_%d", w, i, w, i))
+					job, err := s.accept(context.Background(), wal.FrameConstraints, s.cfg.WALSession, fmt.Sprintf("a%d_%d <= b%d_%d", w, i, w, i), nil)
 					switch {
 					case err == nil:
 						mu.Lock()

@@ -141,6 +141,15 @@ func TestSessionsPartitionNamespace(t *testing.T) {
 		t.Fatalf("ghost read minted a session: %v", body["sessions"])
 	}
 
+	// A first batch that does not parse is refused whole: it leaves no
+	// session behind either.
+	if resp, body := doReq(t, "POST", hs.URL+"/v1/constraints/gamma?wait=1", "cons c\nc <="); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unparsable first batch = %d %v", resp.StatusCode, body)
+	}
+	if _, body := getJSON(t, hs.URL+"/v1/snapshot/alpha"); body["sessions"].(float64) != 2 {
+		t.Fatalf("refused batch minted a session: %v", body["sessions"])
+	}
+
 	// Bad labels are 400s, not new sessions.
 	if resp, body := doReq(t, "POST", hs.URL+"/v1/constraints/bad%2Flabel?wait=1", "cons c\nc <= W"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad label = %d %v", resp.StatusCode, body)

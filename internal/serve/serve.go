@@ -41,7 +41,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -102,13 +101,17 @@ type Config struct {
 	// WAL, when non-nil, is the durable constraint log. Every accepted
 	// batch's SCL text is appended (and, under SyncAlways, fsynced) before
 	// the 202/200 goes out, so an acknowledged batch survives a process
-	// crash: on the next start, Recover replays the log through the normal
-	// parse → lower → solve path and reconstructs a bit-identical graph.
-	// The caller opens the log (wal.Open pins the solver options into the
-	// log's meta) and closes it after Shutdown returns.
+	// crash: on the next start, Recover replays the log through the same
+	// walreplay.Stream the live server writes through and reconstructs a
+	// bit-identical graph. The caller opens the log (wal.Open pins the
+	// solver options into the log's meta) and closes it after Shutdown
+	// returns.
 	WAL *wal.Log
-	// WALSession is the session label recorded in each frame. Empty means
-	// "default".
+	// WALSession names the one session whose reads fall back to the
+	// solver-wide name index, so variables created outside any session —
+	// by embedders driving the solver directly — stay reachable. It does
+	// not label frames: each frame records its own request's session.
+	// Empty means "default".
 	WALSession string
 }
 
@@ -131,13 +134,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the service: an ingestion queue, an SCL session, and the v1
-// HTTP handlers. Create one with New, expose Handler() through an
-// http.Server, and call Shutdown to drain.
+// Server is the service: an ingestion queue, the write stream its
+// sessions parse into, and the v1 HTTP handlers. Create one with New,
+// expose Handler() through an http.Server, and call Shutdown to drain.
 type Server struct {
 	cfg      Config
 	solver   *polce.Solver
-	sessions *sessionSet
+	stream   *walreplay.Stream // sessions and live retraction handles
 	metrics  *routeMetrics
 	qmetrics *queueMetrics
 	logger   *slog.Logger
@@ -146,18 +149,14 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	queue    chan *ingestJob
-	slots    chan struct{} // queue-slot semaphore: reserved in accept before any mutation
-	drainReq chan struct{} // closed by Shutdown: ingester drains and exits
-	done     chan struct{} // closed when the ingester has exited
+	queue    chan *ingestJob // sent on only by accept, under acceptMu
+	drainReq chan struct{}   // closed by Shutdown: ingester drains and exits
+	done     chan struct{}   // closed when the ingester has exited
 	draining atomic.Bool
 	drainMu  sync.RWMutex // accept holds R across admission; Shutdown's W is the barrier
 	acceptMu sync.Mutex   // serialises admission across sessions: creation order = frame order
 
-	handleSeq atomic.Uint64          // retraction handles when the WAL is off
-	handleMu  sync.Mutex             // guards handles
-	handles   map[uint64]handleEntry // issued handle → session + solver batch id
-	retracted atomic.Int64           // batches retracted by the ingester
+	handleSeq atomic.Uint64 // retraction handles when the WAL is off
 
 	wal         *wal.Log
 	walFailed   atomic.Bool  // a log write failed: ingestion refuses until restart
@@ -272,7 +271,7 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		solver:   cfg.Solver,
-		sessions: newSessionSet(cfg.Solver),
+		stream:   walreplay.NewStream(cfg.Solver),
 		metrics:  newRouteMetrics(cfg.Registry),
 		logger:   cfg.Logger,
 		tracer:   cfg.Tracer,
@@ -280,70 +279,32 @@ func newServer(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		queue:    make(chan *ingestJob, cfg.QueueDepth),
-		slots:    make(chan struct{}, cfg.QueueDepth),
 		drainReq: make(chan struct{}),
 		done:     make(chan struct{}),
 		wal:      cfg.WAL,
 		ages:     &ageTracker{},
-		handles:  map[uint64]handleEntry{},
 	}
 	s.qmetrics = newQueueMetrics(cfg.Registry, s)
 	s.routes()
 	return s
 }
 
-// Recover replays frames recovered from the constraint log through the
-// normal session path — ParseAppend, Binder.Lower, AddBatch, routed to
-// each frame's session — exactly as the live accept path ran them, so the
-// recovered graph is bit-identical to the pre-crash one: same variable
-// creation order, same constraint order, same seeded edge orientations,
-// same partition. Retract frames replay in stream order against the batch
-// ids the recovery itself issued; a frame whose targets are not live at
-// its position retracted nothing on the live server (the DELETE failed
-// validation after its frame was logged) and is skipped here the same way.
-// Recovered handles stay registered, so pre-crash batches can still be
-// retracted after the restart. Call Recover after New and before serving
-// traffic; frames bypass the queue and are NOT re-appended to the log
-// (they are already in it).
+// Recover applies frames recovered from the constraint log, in order,
+// through the server's walreplay.Stream — the same Parse, Add and Retract
+// the live accept and apply paths ran them through — so the recovered
+// graph is bit-identical to the pre-crash one: same variable creation
+// order, same constraint order, same seeded edge orientations, same
+// partition. Recovered handles stay registered, so pre-crash batches can
+// still be retracted after the restart. Call Recover after New and before
+// serving traffic; frames bypass the queue and are NOT re-appended to the
+// log (they are already in it).
 func (s *Server) Recover(frames []wal.Frame) (int, error) {
 	constraints := 0
-	retractable := s.solver.Retractable()
 	for _, f := range frames {
-		switch f.Kind {
-		case wal.FrameRetract:
-			targets, err := walreplay.ParseRetractText(f.Text)
-			if err != nil {
-				return constraints, fmt.Errorf("serve: wal frame %d: %w", f.Seq, err)
-			}
-			ids := make([]polce.BatchID, 0, len(targets))
-			live := true
-			for _, h := range targets {
-				e, ok := s.handles[h]
-				if !ok || e.session != f.Session {
-					live = false
-					break
-				}
-				ids = append(ids, e.id)
-			}
-			if live {
-				if _, err := s.solver.RetractBatch(ids...); err != nil {
-					return constraints, fmt.Errorf("serve: wal frame %d retract: %w", f.Seq, err)
-				}
-				for _, h := range targets {
-					delete(s.handles, h)
-				}
-				s.retracted.Add(int64(len(targets)))
-			}
-		default:
-			batch, err := s.sessions.get(f.Session).parse(f.Text)
-			if err != nil {
-				return constraints, fmt.Errorf("serve: wal frame %d does not parse: %w", f.Seq, err)
-			}
-			id := s.solver.AddBatch(batch)
-			if retractable {
-				s.handles[f.Seq] = handleEntry{session: f.Session, id: id}
-			}
-			constraints += len(batch)
+		n, err := s.stream.Apply(f)
+		constraints += n
+		if err != nil {
+			return constraints, err
 		}
 		s.walReplayed.Add(1)
 	}

@@ -241,26 +241,31 @@ func TestBoundedStaleness(t *testing.T) {
 	}
 }
 
-// TestStatusTable pins the error → status mapping directly, including
-// wrapped errors, so the table can't rot behind the HTTP tests.
+// TestStatusTable pins the error → status and kind mapping directly,
+// including wrapped errors, so the table can't rot behind the HTTP tests.
 func TestStatusTable(t *testing.T) {
 	cases := []struct {
 		err  error
 		want int
+		kind string
 	}{
-		{polce.ErrInconsistent, http.StatusConflict},
-		{fmt.Errorf("wrapping: %w", polce.ErrInconsistent), http.StatusConflict},
-		{polce.ErrQueueFull, http.StatusServiceUnavailable},
-		{polce.ErrSolverClosed, http.StatusGone},
-		{ErrUnknownVar, http.StatusNotFound},
-		{ErrBadRequest, http.StatusBadRequest},
-		{fmt.Errorf("%w: details", ErrBadRequest), http.StatusBadRequest},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{io.ErrUnexpectedEOF, http.StatusInternalServerError},
+		{polce.ErrInconsistent, http.StatusConflict, "inconsistent"},
+		{fmt.Errorf("wrapping: %w", polce.ErrInconsistent), http.StatusConflict, "inconsistent"},
+		{polce.ErrQueueFull, http.StatusServiceUnavailable, "queue_full"},
+		{polce.ErrSolverClosed, http.StatusGone, "closed"},
+		{ErrUnknownVar, http.StatusNotFound, "unknown_var"},
+		{ErrBadRequest, http.StatusBadRequest, "bad_request"},
+		{fmt.Errorf("%w: details", ErrBadRequest), http.StatusBadRequest, "bad_request"},
+		{fmt.Errorf("%w: disk full", ErrWALFailed), http.StatusInternalServerError, "wal_failed"},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
+		{io.ErrUnexpectedEOF, http.StatusInternalServerError, "internal"},
 	}
 	for _, c := range cases {
 		if got := StatusOf(c.err); got != c.want {
 			t.Errorf("StatusOf(%v) = %d, want %d", c.err, got, c.want)
+		}
+		if code, kind := classify(c.err); code != c.want || kind != c.kind {
+			t.Errorf("classify(%v) = %d %q, want %d %q", c.err, code, kind, c.want, c.kind)
 		}
 	}
 	// An *InconsistentError from the solver maps like the sentinel.

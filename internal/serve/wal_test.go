@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -236,7 +237,7 @@ func TestQueueOldestAgeGauge(t *testing.T) {
 		t.Fatalf("idle gauge = %v, want 0", got)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := s.accept(context.Background(), s.cfg.WALSession, fmt.Sprintf("A%d <= B%d", i, i)); err != nil {
+		if _, err := s.accept(context.Background(), wal.FrameConstraints, s.cfg.WALSession, fmt.Sprintf("A%d <= B%d", i, i), nil); err != nil {
 			t.Fatalf("accept %d: %v", i, err)
 		}
 	}
@@ -249,7 +250,6 @@ func TestQueueOldestAgeGauge(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		job := <-s.queue
 		s.ages.pop()
-		<-s.slots
 		job.done <- ingestResult{}
 	}
 	if got := scrapeGauge(t, reg, "polce_serve_queue_oldest_age_seconds"); got != 0 {
@@ -410,5 +410,29 @@ func TestWALRecoverWithRetractions(t *testing.T) {
 	defer cancel()
 	if err := srvB.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverAndReplayAgreeOnNonRetractableLog feeds one non-retractable
+// log holding a constraints frame and a retract frame to Recover and to
+// walreplay.Replay. A non-retractable server refuses a DELETE before
+// logging it, and the log's meta pins retractable, so such a frame means
+// a foreign or damaged log: both must fail the same way and name the
+// frame, as they do for a constraints frame that does not parse.
+func TestRecoverAndReplayAgreeOnNonRetractableLog(t *testing.T) {
+	opt := walOptions()
+	frames := []wal.Frame{
+		{Seq: 1, Kind: wal.FrameConstraints, Session: "default", Text: "cons a\na <= X"},
+		{Seq: 2, Kind: wal.FrameRetract, Session: "default", Text: walreplay.FormatRetractText([]uint64{1})},
+	}
+	_, recoverErr := newServer(Config{Solver: polce.New(opt)}).Recover(frames)
+	_, _, _, replayErr := walreplay.Replay(frames, opt)
+	for name, err := range map[string]error{"Recover": recoverErr, "Replay": replayErr} {
+		if !errors.Is(err, polce.ErrNotRetractable) || !strings.Contains(fmt.Sprint(err), "frame 2") {
+			t.Errorf("%s = %v, want ErrNotRetractable naming frame 2", name, err)
+		}
+	}
+	if fmt.Sprint(recoverErr) != fmt.Sprint(replayErr) {
+		t.Errorf("Recover and Replay disagree: %v vs %v", recoverErr, replayErr)
 	}
 }

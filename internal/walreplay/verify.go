@@ -11,14 +11,15 @@ import (
 )
 
 // Verify audits the constraint log in dir (the -wal directory of a
-// polce-serve run): it replays the log standalone — same parse → lower →
-// solve path the server uses, under the options pinned in the log's meta
-// — and fingerprints the recovered graph: version, partition signature,
-// up to 64 sampled least solutions, mutation counters. The manifest lives
-// at manifestPath, or <dir>/manifest.json when that is empty. On the
-// first run the fingerprint is recorded as the manifest; on later runs it
-// is compared field by field, and any divergence (a lost frame, a
-// reordered batch, a mismatched seed) fails with the exact mismatches.
+// polce-serve run): it replays the log standalone — through a Stream,
+// the type the server writes through, under the options pinned in the
+// log's meta — and fingerprints the recovered graph: version, partition
+// signature, up to 64 sampled least solutions, mutation counters. The
+// manifest lives at manifestPath, or <dir>/manifest.json when that is
+// empty. On the first run the fingerprint is recorded as the manifest; on
+// later runs it is compared field by field, and any divergence (a lost
+// frame, a reordered batch, a mismatched seed) fails with the exact
+// mismatches.
 // Replay is read-only on the log: a torn tail is reported, not truncated.
 func Verify(out io.Writer, dir, manifestPath string) error {
 	meta, err := wal.ReadMeta(dir)

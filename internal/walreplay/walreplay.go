@@ -1,8 +1,13 @@
-// Package walreplay replays a constraint log standalone — outside any
-// server — and fingerprints the graph it reconstructs. It is the
-// substrate of `polce-serve -wal-verify` (Verify) and of the crash-recovery
-// equivalence tests: replay the frames through the normal parse → lower →
-// solve path, then compare the recovered graph's manifest (version,
+// Package walreplay owns what a logged frame means and replays a
+// constraint log standalone — outside any server — fingerprinting the
+// graph it reconstructs.
+//
+// Stream is the one write path: the live server parses, adds and retracts
+// through it, and crash recovery (serve's Server.Recover) and Replay apply
+// logged frames through Stream.Apply, so no second copy of the frame rules
+// can drift from the first. Replay is the substrate of `polce-serve
+// -wal-verify` (Verify) and of the crash-recovery equivalence tests:
+// replay the frames, then compare the recovered graph's manifest (version,
 // partition signature, sampled least solutions, mutation-path counters)
 // against a reference.
 //
@@ -88,87 +93,24 @@ func FormatRetractText(seqs []uint64) string {
 	return strings.Join(parts, ",")
 }
 
-// Replay runs the frames through fresh per-session SCL state and one
-// solver — the same ParseAppend → Binder.Lower → AddBatch path the server
-// ingests through, frame order preserved across sessions — and returns the
-// solver, the binders by session label (for name lookups) and the number
-// of constraints applied. A constraints frame that fails to parse aborts
-// the replay: it parsed when it was logged, so a parse failure means the
-// log does not belong to this vocabulary or was damaged beyond the CRC's
-// reach.
-//
-// Retract frames replay in stream order: each frame's text names the
-// sequence numbers of the constraint frames it retracts, resolved against
-// the batch ids the replay itself issued. A target that is not live at the
-// frame's position — never logged, or already retracted — skips the whole
-// frame, mirroring RetractBatch's all-or-nothing validation on the live
-// server (a DELETE that failed there was logged but retracted nothing).
+// Replay applies the frames, in order, to one fresh solver through a new
+// Stream — the code the live server admits and applies writes through —
+// and returns the solver, the binders by session label (for name lookups)
+// and the number of constraints applied. It stops at the first frame
+// Stream.Apply refuses; a retract frame whose DELETE failed live retracts
+// nothing, as it did on the live server.
 func Replay(frames []wal.Frame, opt polce.Options) (*polce.Solver, map[string]*scl.Binder, int, error) {
 	solver := polce.New(opt)
-	type sess struct {
-		file   *scl.File
-		binder *scl.Binder
-	}
-	sessions := map[string]*sess{}
-	binders := map[string]*scl.Binder{}
-	sessionOf := func(label string) *sess {
-		ss, ok := sessions[label]
-		if !ok {
-			f := scl.MustParse("")
-			ss = &sess{file: f, binder: scl.NewBinder(f, solver)}
-			sessions[label] = ss
-			binders[label] = ss.binder
-		}
-		return ss
-	}
-	type liveBatch struct {
-		session string
-		id      polce.BatchID
-	}
-	ids := map[uint64]liveBatch{} // live frame seq → owning session + batch id
+	st := NewStream(solver)
 	constraints := 0
 	for _, f := range frames {
-		switch f.Kind {
-		case wal.FrameRetract:
-			targets, err := ParseRetractText(f.Text)
-			if err != nil {
-				return nil, nil, constraints, fmt.Errorf("walreplay: frame %d: %w", f.Seq, err)
-			}
-			batchIDs := make([]polce.BatchID, 0, len(targets))
-			live := true
-			for _, seq := range targets {
-				// Mirror the serve layer's validation exactly: a target
-				// must be live AND owned by the frame's session — a
-				// cross-session DELETE failed live, so it must be a no-op
-				// on replay too.
-				b, ok := ids[seq]
-				if !ok || b.session != f.Session {
-					live = false
-					break
-				}
-				batchIDs = append(batchIDs, b.id)
-			}
-			if !live {
-				continue // the live DELETE failed validation and retracted nothing
-			}
-			if _, err := solver.RetractBatch(batchIDs...); err != nil {
-				return nil, nil, constraints, fmt.Errorf("walreplay: frame %d retract: %w", f.Seq, err)
-			}
-			for _, seq := range targets {
-				delete(ids, seq)
-			}
-		default:
-			ss := sessionOf(f.Session)
-			cs, err := ss.file.ParseAppend(f.Text)
-			if err != nil {
-				return nil, nil, constraints, fmt.Errorf("walreplay: frame %d does not parse: %w", f.Seq, err)
-			}
-			batch := ss.binder.Lower(cs)
-			ids[f.Seq] = liveBatch{session: f.Session, id: solver.AddBatch(batch)}
-			constraints += len(batch)
+		n, err := st.Apply(f)
+		constraints += n
+		if err != nil {
+			return nil, nil, constraints, err
 		}
 	}
-	return solver, binders, constraints, nil
+	return solver, st.binders, constraints, nil
 }
 
 // Sample is one recorded least solution: a variable and its rendered
@@ -283,78 +225,38 @@ func Fingerprint(s *polce.Solver, maxSamples int) Manifest {
 }
 
 // Diff compares two manifests field by field and returns a list of
-// human-readable mismatches (nil when equal). Samples compare by variable
-// name and rendered term sequence.
+// human-readable mismatches (nil when equal): the history fields — the
+// options, the replayed stream and the mutation-path counters — and then
+// StateDiff's comparison of the graph itself.
 func (m Manifest) Diff(other Manifest) []string {
 	var diffs []string
-	add := func(format string, args ...any) {
-		diffs = append(diffs, fmt.Sprintf(format, args...))
-	}
 	for k, v := range m.Options {
 		if other.Options[k] != v {
-			add("options[%s]: %q vs %q", k, v, other.Options[k])
+			diffs = append(diffs, fmt.Sprintf("options[%s]: %q vs %q", k, v, other.Options[k]))
 		}
 	}
-	if m.Frames != other.Frames {
-		add("frames: %d vs %d", m.Frames, other.Frames)
-	}
-	if m.LastSeq != other.LastSeq {
-		add("last_seq: %d vs %d", m.LastSeq, other.LastSeq)
-	}
-	if m.Constraints != other.Constraints {
-		add("constraints: %d vs %d", m.Constraints, other.Constraints)
-	}
-	if m.Version != other.Version {
-		add("version: %d vs %d", m.Version, other.Version)
-	}
-	if m.Vars != other.Vars {
-		add("vars: %d vs %d", m.Vars, other.Vars)
-	}
-	if m.Errors != other.Errors {
-		add("errors: %d vs %d", m.Errors, other.Errors)
-	}
-	if m.PartitionSig != other.PartitionSig {
-		add("partition_sig: %s vs %s", m.PartitionSig, other.PartitionSig)
-	}
-	if m.Work != other.Work {
-		add("work: %d vs %d", m.Work, other.Work)
-	}
-	if m.Redundant != other.Redundant {
-		add("redundant: %d vs %d", m.Redundant, other.Redundant)
-	}
-	if m.CycleSearches != other.CycleSearches {
-		add("cycle_searches: %d vs %d", m.CycleSearches, other.CycleSearches)
-	}
-	if m.CycleVisits != other.CycleVisits {
-		add("cycle_visits: %d vs %d", m.CycleVisits, other.CycleVisits)
-	}
-	if m.CyclesFound != other.CyclesFound {
-		add("cycles_found: %d vs %d", m.CyclesFound, other.CyclesFound)
-	}
-	if m.Retractions != other.Retractions {
-		add("retractions: %d vs %d", m.Retractions, other.Retractions)
-	}
-	if m.RetractConeVars != other.RetractConeVars {
-		add("retract_cone_vars: %d vs %d", m.RetractConeVars, other.RetractConeVars)
-	}
-	if m.RetractReplayed != other.RetractReplayed {
-		add("retract_replayed: %d vs %d", m.RetractReplayed, other.RetractReplayed)
-	}
-	if len(m.Samples) != len(other.Samples) {
-		add("samples: %d vs %d", len(m.Samples), len(other.Samples))
-		return diffs
-	}
-	for i := range m.Samples {
-		a, b := m.Samples[i], other.Samples[i]
-		if a.Var != b.Var {
-			add("samples[%d].var: %q vs %q", i, a.Var, b.Var)
-			continue
-		}
-		if strings.Join(a.Terms, ",") != strings.Join(b.Terms, ",") {
-			add("samples[%d] (%s): LS %v vs %v", i, a.Var, a.Terms, b.Terms)
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"frames", m.Frames, other.Frames},
+		{"last_seq", m.LastSeq, other.LastSeq},
+		{"constraints", m.Constraints, other.Constraints},
+		{"version", m.Version, other.Version},
+		{"work", m.Work, other.Work},
+		{"redundant", m.Redundant, other.Redundant},
+		{"cycle_searches", m.CycleSearches, other.CycleSearches},
+		{"cycle_visits", m.CycleVisits, other.CycleVisits},
+		{"cycles_found", m.CyclesFound, other.CyclesFound},
+		{"retractions", m.Retractions, other.Retractions},
+		{"retract_cone_vars", m.RetractConeVars, other.RetractConeVars},
+		{"retract_replayed", m.RetractReplayed, other.RetractReplayed},
+	} {
+		if f.a != f.b {
+			diffs = append(diffs, fmt.Sprintf("%s: %v vs %v", f.name, f.a, f.b))
 		}
 	}
-	return diffs
+	return append(diffs, m.StateDiff(other)...)
 }
 
 // StateDiff compares only the state-bearing fields of two manifests: the
