@@ -1,5 +1,7 @@
 package core
 
+import "polce/internal/core/graph"
+
 // This file implements the paper's partial online cycle elimination
 // (Section 2.5, Figure 3). When a variable-variable edge is about to be
 // inserted under an online policy, the solver searches for a chain that
@@ -24,14 +26,14 @@ package core
 
 // onlineSearch is the paper's partial online elimination. It owns the
 // chain-search scratch state (epoch mark, found path, explicit stack);
-// the search marks are parked in each variable's Mark slot, under an
-// epoch drawn from the System's mark counter.
+// the search marks are parked in the System's per-id marks, under an
+// epoch drawn from its mark counter.
 type onlineSearch struct {
 	sys        *System
 	increasing bool // SF ablation: search up-order instead of down
 
-	searchEpoch uint64       // current cycle-search mark
-	path        []*Var       // scratch: nodes on the chain found by the last search
+	searchEpoch uint32       // current cycle-search mark
+	path        []int32      // scratch: nodes on the chain found by the last search
 	frames      []chainFrame // scratch: explicit stack for chainSearch
 }
 
@@ -40,7 +42,7 @@ type onlineSearch struct {
 // the lowest-ordered witness. It reports whether a collapse happened (in
 // which case the pending edge must not be inserted: it lies inside the
 // witness).
-func (o *onlineSearch) pendingEdge(x, y *Var, asSucc bool) bool {
+func (o *onlineSearch) pendingEdge(x, y int32, asSucc bool) bool {
 	s := o.sys
 	s.stats.CycleSearches++
 	visitsBefore := s.stats.CycleVisits
@@ -72,12 +74,12 @@ func (o *onlineSearch) pendingEdge(x, y *Var, asSucc bool) bool {
 // predChain reports whether a predecessor chain to ⋯→ from exists,
 // following only predecessor edges to lower-ordered variables. On success
 // o.path holds every variable on the chain, endpoints included.
-func (o *onlineSearch) predChain(from, to *Var) bool {
+func (o *onlineSearch) predChain(from, to int32) bool {
 	return o.chainSearch(from, to, false, false)
 }
 
 // succChain is the successor-edge dual of predChain.
-func (o *onlineSearch) succChain(from, to *Var) bool {
+func (o *onlineSearch) succChain(from, to int32) bool {
 	return o.chainSearch(from, to, true, false)
 }
 
@@ -85,15 +87,15 @@ func (o *onlineSearch) succChain(from, to *Var) bool {
 // increasing=false each step must decrease in the variable order (the
 // paper's cheap partial search); with increasing=true each step must
 // increase (the §4 ablation, which finds more cycles at much higher cost).
-func (o *onlineSearch) succChainSF(from, to *Var, increasing bool) bool {
+func (o *onlineSearch) succChainSF(from, to int32, increasing bool) bool {
 	return o.chainSearch(from, to, true, increasing)
 }
 
 // chainFrame is one node on the explicit chain-search stack; next is the
 // adjacency index to resume from.
 type chainFrame struct {
-	node *Var
-	next int
+	node int32
+	next int32
 }
 
 // chainSearch is the order-restricted depth-first chain search behind
@@ -103,33 +105,36 @@ type chainFrame struct {
 // exactly: a node's visit is counted on entry, the to-test precedes the
 // visited mark, adjacency is scanned in stored order, and on success
 // o.path holds the chain with `to` first and `from` last.
-func (o *onlineSearch) chainSearch(from, to *Var, succ, increasing bool) bool {
+func (o *onlineSearch) chainSearch(from, to int32, succ, increasing bool) bool {
 	s := o.sys
+	st := &s.store
+	marks := s.marks
 	s.stats.CycleVisits++
 	if from == to {
 		o.path = append(o.path, from)
 		return true
 	}
-	from.Mark = o.searchEpoch
+	marks[from] = o.searchEpoch
+	adjSet := graph.PredV
+	if succ {
+		adjSet = graph.SuccV
+	}
 	frames := append(o.frames[:0], chainFrame{node: from})
 	defer func() { o.frames = frames[:0] }()
 	for len(frames) > 0 {
 		f := &frames[len(frames)-1]
 		cur := f.node
-		adj := cur.PredV.List()
-		if succ {
-			adj = cur.SuccV.List()
-		}
+		adj := st.Vars(cur, adjSet)
 		descended := false
-		for f.next < len(adj) {
-			v := find(adj[f.next])
+		for int(f.next) < len(adj) {
+			v := st.Find(adj[f.next])
 			f.next++
-			if v == cur || v.Mark == o.searchEpoch {
+			if v == cur || marks[v] == o.searchEpoch {
 				continue
 			}
-			ok := before(v, cur)
+			ok := st.Before(v, cur)
 			if increasing {
-				ok = before(cur, v)
+				ok = st.Before(cur, v)
 			}
 			if !ok {
 				continue
@@ -142,7 +147,7 @@ func (o *onlineSearch) chainSearch(from, to *Var, succ, increasing bool) bool {
 				}
 				return true
 			}
-			v.Mark = o.searchEpoch
+			marks[v] = o.searchEpoch
 			frames = append(frames, chainFrame{node: v})
 			descended = true
 			break
@@ -160,23 +165,23 @@ func (o *onlineSearch) chainSearch(from, to *Var, succ, increasing bool) bool {
 // order once re-oriented). The absorbed variables' constraints are
 // re-inserted through the normal constraint path, so the closure rule fires
 // for every new combination and inductive form re-orients inherited edges.
-func (s *System) collapse(nodes []*Var) {
-	witness := find(nodes[0])
+func (s *System) collapse(nodes []int32) {
+	witness := s.find(nodes[0])
 	for _, v := range nodes[1:] {
-		v = find(v)
-		if before(v, witness) {
+		v = s.find(v)
+		if s.store.Before(v, witness) {
 			witness = v
 		}
 	}
 	s.store.BumpMergeEpoch()
-	var merged []*Var
+	merged := s.merged[:0]
 	for _, v := range nodes {
-		v = find(v)
-		if v != witness {
+		if v = s.find(v); v != witness {
 			s.absorb(v, witness)
 			merged = append(merged, v)
 		}
 	}
+	s.merged = merged
 	if len(merged) > 0 {
 		if s.retract != nil {
 			s.retractCollapse(witness, merged)
@@ -186,7 +191,13 @@ func (s *System) collapse(nodes []*Var) {
 		// consumers holding a now-forwarded predecessor reach it through
 		// the witness when the next pass canonicalises their adjacency.
 		s.markLS(witness)
-		s.emit(Event{Kind: EventCycle, Witness: witness, Vars: merged, Collapsed: len(merged)})
+		if s.opt.Metrics != nil {
+			vars := make([]*Var, len(merged))
+			for i, v := range merged {
+				vars[i] = s.store.Handle(v)
+			}
+			s.emit(Event{Kind: EventCycle, Witness: s.store.Handle(witness), Vars: vars, Collapsed: len(merged)})
+		}
 	}
 }
 
@@ -196,17 +207,18 @@ func (s *System) collapse(nodes []*Var) {
 // Add canonicalises past it, making its term sets immutable for exactly as
 // long as the ranges are pending. The storage is released when the drain
 // ends (flushDelta).
-func (s *System) absorb(a, w *Var) {
-	s.store.Forward(a, w)
+func (s *System) absorb(a, w int32) {
+	st := &s.store
+	st.Forward(a, w)
 	s.stats.VarsEliminated++
-	s.pushSrcRange(a, w, a.PredS.Size())
-	for _, v := range a.PredV.Take() {
-		s.push(v, w) // v ⊆ a becomes v ⊆ w
+	s.pushSrcRange(a, opVar, w, len(st.TermIDs(a, graph.PredS)))
+	for _, v := range st.TakeVars(a, graph.PredV) {
+		s.pushOp(opVar, v, opVar, w) // v ⊆ a becomes v ⊆ w
 	}
-	for _, v := range a.SuccV.Take() {
-		s.push(w, v) // a ⊆ v becomes w ⊆ v
+	for _, v := range st.TakeVars(a, graph.SuccV) {
+		s.pushOp(opVar, w, opVar, v) // a ⊆ v becomes w ⊆ v
 	}
-	s.pushSinkRange(w, a, a.SuccK.Size())
+	s.pushSinkRange(opVar, w, a, len(st.TermIDs(a, graph.SuccK)))
 	s.deferredFree = append(s.deferredFree, a)
 }
 
@@ -218,9 +230,9 @@ func (s *System) absorb(a, w *Var) {
 func (s *System) collapseSCCGroups() (visited, collapsed int) {
 	vars := s.CanonicalVars()
 	comp, count, _ := sccStrong(s, vars)
-	groups := make(map[int][]*Var)
+	groups := make(map[int][]int32)
 	for i, c := range comp {
-		groups[c] = append(groups[c], vars[i])
+		groups[c] = append(groups[c], vars[i].DenseID())
 	}
 	for c := 0; c < count; c++ {
 		if g := groups[c]; len(g) >= 2 {

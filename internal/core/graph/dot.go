@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // errWriter forwards writes to an underlying writer and latches the first
@@ -37,8 +36,7 @@ func (st *Store) WriteDOT(w io.Writer) error {
 	fmt.Fprintln(ew, "  rankdir=LR;")
 	fmt.Fprintln(ew, "  node [fontsize=10];")
 
-	vars := st.CanonicalVars()
-	sort.Slice(vars, func(i, j int) bool { return vars[i].id < vars[j].id })
+	vars := st.CanonicalVars() // in creation order, which is id order
 
 	nodeOf := map[TermID]string{}
 	termNode := func(t TermID, sink bool) string {
@@ -56,21 +54,21 @@ func (st *Store) WriteDOT(w io.Writer) error {
 	}
 
 	for _, v := range vars {
-		fmt.Fprintf(ew, "  v%d [label=%q];\n", v.id, v.name)
+		fmt.Fprintf(ew, "  v%d [label=%q];\n", v.created, v.name)
 	}
 	for _, v := range vars {
-		st.Clean(v)
-		for _, t := range v.PredS.List() {
-			fmt.Fprintf(ew, "  %s -> v%d [style=dashed];\n", termNode(t, false), v.id)
+		st.Clean(v.id)
+		for _, t := range st.TermIDs(v.id, PredS) {
+			fmt.Fprintf(ew, "  %s -> v%d [style=dashed];\n", termNode(t, false), v.created)
 		}
-		for _, p := range v.PredV.List() {
-			fmt.Fprintf(ew, "  v%d -> v%d [style=dashed];\n", Find(p).id, v.id)
+		for _, p := range st.Vars(v.id, PredV) {
+			fmt.Fprintf(ew, "  v%d -> v%d [style=dashed];\n", st.Handle(st.Find(p)).created, v.created)
 		}
-		for _, y := range v.SuccV.List() {
-			fmt.Fprintf(ew, "  v%d -> v%d;\n", v.id, Find(y).id)
+		for _, y := range st.Vars(v.id, SuccV) {
+			fmt.Fprintf(ew, "  v%d -> v%d;\n", v.created, st.Handle(st.Find(y)).created)
 		}
-		for _, t := range v.SuccK.List() {
-			fmt.Fprintf(ew, "  v%d -> %s;\n", v.id, termNode(t, true))
+		for _, t := range st.TermIDs(v.id, SuccK) {
+			fmt.Fprintf(ew, "  v%d -> %s;\n", v.created, termNode(t, true))
 		}
 	}
 	fmt.Fprintln(ew, "}")

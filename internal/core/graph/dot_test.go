@@ -18,11 +18,11 @@ func collapsedStore() *Store {
 	z := st.Fresh("Z", 3)
 	a := NewTerm(NewConstructor("a"))
 	end := NewTerm(NewConstructor("end"))
-	x.PredS.Add(st.Intern(a))
-	x.SuccV.Add(y)
-	y.PredV.Add(z)
-	y.SuccK.Add(st.Intern(end))
-	st.Forward(z, x)
+	st.AddTerm(x.id, PredS, st.Intern(a))
+	st.AddVar(x.id, SuccV, y.id)
+	st.AddVar(y.id, PredV, z.id)
+	st.AddTerm(y.id, SuccK, st.Intern(end))
+	st.Forward(z.id, x.id)
 	st.BumpMergeEpoch()
 	return &st
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"polce/internal/core/graph"
+)
 
 // This file computes the least solution LS of a closed constraint system.
 //
@@ -54,9 +58,7 @@ func (s *System) LSCacheState() LSCacheState {
 		PendingDirty: len(s.lsPending),
 	}
 	if e := s.lsEngine; e != nil {
-		for _, bucket := range e.interned {
-			st.InternedNodes += len(bucket)
-		}
+		st.InternedNodes = len(e.nodes) - 2 // less the no-node and empty-set ids
 		st.MemoEntries = len(e.memo)
 	}
 	return st
@@ -86,15 +88,15 @@ func (s *System) ComputeLeastSolutions() {
 // that node; under standard form it maps the closed graph's source ids to
 // a fresh slice. The returned slice must not be modified.
 func (s *System) LeastSolution(v *Var) []*Term {
-	v = find(v)
+	id := s.find(v.DenseID())
 	if s.opt.Form == SF {
-		return s.store.Terms(v.PredS.List())
+		return s.store.Terms(s.store.TermIDs(id, graph.PredS))
 	}
 	s.ComputeLeastSolutions()
-	n := lsNodeOf(v)
-	if n == nil {
+	if s.ls[id].node == noNode {
 		return nil
 	}
+	n := s.lsEngine.nodes[s.ls[id].node]
 	if n.view == nil {
 		n.view = s.store.Terms(n.terms)
 	}
@@ -108,28 +110,31 @@ func (s *System) LeastSolution(v *Var) []*Term {
 // must produce exactly these slices, order included, for every canonical
 // variable.
 func (s *System) leastSolutionsReference() map[*Var][]*Term {
+	st := &s.store
 	if s.opt.Form == SF {
 		out := make(map[*Var][]*Term)
 		for _, v := range s.CanonicalVars() {
-			out[v] = s.store.Terms(v.PredS.List())
+			out[v] = st.Terms(st.TermIDs(v.DenseID(), graph.PredS))
 		}
 		return out
 	}
 	vars := s.CanonicalVars()
-	sort.Slice(vars, func(i, j int) bool { return before(vars[i], vars[j]) })
+	sort.Slice(vars, func(i, j int) bool { return st.Before(vars[i].DenseID(), vars[j].DenseID()) })
 	ls := make(map[*Var][]*Term, len(vars))
 	for _, y := range vars {
-		s.store.Clean(y)
-		set := make(map[*Term]struct{}, y.PredS.Size())
-		list := make([]*Term, 0, y.PredS.Size())
-		for _, t := range s.store.Terms(y.PredS.List()) {
+		id := y.DenseID()
+		st.Clean(id)
+		srcs := st.TermIDs(id, graph.PredS)
+		set := make(map[*Term]struct{}, len(srcs))
+		list := make([]*Term, 0, len(srcs))
+		for _, t := range st.Terms(srcs) {
 			if _, ok := set[t]; !ok {
 				set[t] = struct{}{}
 				list = append(list, t)
 			}
 		}
-		for _, x := range y.PredV.List() {
-			for _, t := range ls[find(x)] {
+		for _, x := range st.Vars(id, graph.PredV) {
+			for _, t := range ls[st.Handle(st.Find(x))] {
 				if _, ok := set[t]; !ok {
 					set[t] = struct{}{}
 					list = append(list, t)

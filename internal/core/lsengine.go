@@ -50,7 +50,6 @@ const lsIndexThreshold = 16
 // naive pass produces). Nodes must never be mutated after interning,
 // except to fill view.
 type lsNode struct {
-	hash  uint64
 	terms []graph.TermID
 
 	index *graph.TermIndex // built on the first membership probe; larger nodes only
@@ -76,18 +75,31 @@ func (n *lsNode) has(t graph.TermID) bool {
 	return n.index.Has(t)
 }
 
-// lsPair keys the union memo by the identity of both operands. Operands
-// are interned nodes, so pointer identity is content identity.
-type lsPair struct{ a, b *lsNode }
+// lsSlot is the engine's per-variable state: the variable's solution node
+// (noNode until a pass evaluates it), its level in the predecessor DAG as
+// of the last pass, and whether it is listed as dirty for the next pass.
+type lsSlot struct {
+	node    int32
+	level   int32
+	pending bool
+}
+
+// Node ids index lsEngine.nodes. Id 0 is no node and id 1 the empty set.
+const (
+	noNode    int32 = 0
+	emptyNode int32 = 1
+)
 
 // lsEngine holds the hash-cons table and union memo shared by every pass
 // of one System. It persists across incremental passes — the memo is what
-// makes re-unions of unchanged suffixes free.
+// makes re-unions of unchanged suffixes free. Nodes are named by dense
+// ids, so the per-variable slots, the intern table and the memo hold no
+// pointers.
 type lsEngine struct {
-	interned map[uint64][]*lsNode // content hash → nodes (bucketed, equality-checked)
-	memo     map[lsPair]*lsNode
-
-	empty *lsNode
+	nodes    []*lsNode
+	next     []int32          // per node id: the next node in its hash bucket
+	interned map[uint64]int32 // content hash → first node of its bucket (equality-checked)
+	memo     map[uint64]int32 // operand id pair (see pairKey) → union node
 
 	stack []lsFrame // scratch: the pass's walk stack, kept across passes
 
@@ -97,13 +109,17 @@ type lsEngine struct {
 }
 
 func newLSEngine() *lsEngine {
-	e := &lsEngine{
-		interned: make(map[uint64][]*lsNode),
-		memo:     make(map[lsPair]*lsNode),
+	return &lsEngine{
+		nodes:    []*lsNode{nil, {}},
+		next:     []int32{noNode, noNode},
+		interned: make(map[uint64]int32),
+		memo:     make(map[uint64]int32),
 	}
-	e.empty = &lsNode{hash: 0}
-	return e
 }
+
+// pairKey keys the union memo by both operand ids. Operands are interned
+// nodes, so id identity is content identity.
+func pairKey(a, b int32) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
 
 // hashTerms is FNV-1a over the term ids. Equal sequences hash equal;
 // collisions are resolved by comparing the lists in intern.
@@ -124,57 +140,64 @@ func hashTerms(ts []graph.TermID) uint64 {
 	return h
 }
 
-// intern returns the canonical node for terms, creating one if the exact
-// sequence has not been seen. When copyOnCreate is set the slice is
+// intern returns the canonical node id for terms, creating a node if the
+// exact sequence has not been seen. When copyOnCreate is set the slice is
 // cloned before a node is built around it — callers pass it for lists
-// that alias mutable storage (predS.list grows in place between passes);
-// lookups never need the copy, which keeps warm passes allocation-free.
-func (e *lsEngine) intern(terms []graph.TermID, copyOnCreate bool) *lsNode {
+// that alias mutable storage (a PredS list grows in place between
+// passes); lookups never need the copy, which keeps warm passes
+// allocation-free.
+func (e *lsEngine) intern(terms []graph.TermID, copyOnCreate bool) int32 {
 	if len(terms) == 0 {
-		return e.empty
+		return emptyNode
 	}
 	h := hashTerms(terms)
-	for _, n := range e.interned[h] {
-		if slices.Equal(n.terms, terms) {
-			return n
+	head, ok := e.interned[h]
+	if ok {
+		for id := head; id != noNode; id = e.next[id] {
+			if slices.Equal(e.nodes[id].terms, terms) {
+				return id
+			}
 		}
 	}
 	if copyOnCreate {
 		terms = slices.Clone(terms)
 	}
-	n := &lsNode{hash: h, terms: terms}
-	e.interned[h] = append(e.interned[h], n)
+	id := int32(len(e.nodes))
+	e.nodes = append(e.nodes, &lsNode{terms: terms})
+	e.next = append(e.next, head) // head is noNode when the bucket is new
+	e.interned[h] = id
 	e.work += int64(len(terms))
-	return n
+	return id
 }
 
 // leaf interns a variable's own source predecessors.
-func (e *lsEngine) leaf(terms []graph.TermID) *lsNode {
+func (e *lsEngine) leaf(terms []graph.TermID) int32 {
 	return e.intern(terms, true)
 }
 
 // union returns the node for a.terms ++ (b.terms \ a), memoized on the
 // operand pair. When b adds nothing the result is a itself — no copy, no
 // new node — which is the common case on closed graphs.
-func (e *lsEngine) union(a, b *lsNode) *lsNode {
-	if a == b || len(b.terms) == 0 {
+func (e *lsEngine) union(a, b int32) int32 {
+	na, nb := e.nodes[a], e.nodes[b]
+	if a == b || len(nb.terms) == 0 {
 		return a
 	}
-	if len(a.terms) == 0 {
+	if len(na.terms) == 0 {
 		return b
 	}
-	key := lsPair{a, b}
+	key := pairKey(a, b)
 	if r, ok := e.memo[key]; ok {
 		e.hits++
 		return r
 	}
 	e.misses++
 	var out []graph.TermID
-	for _, t := range b.terms {
-		if !a.has(t) {
+	for _, t := range nb.terms {
+		if !na.has(t) {
 			if out == nil {
-				out = make([]graph.TermID, len(a.terms), len(a.terms)+len(b.terms))
-				copy(out, a.terms)
+				out = make([]graph.TermID, len(na.terms), len(na.terms)+len(nb.terms))
+				copy(out, na.terms)
 			}
 			out = append(out, t)
 		}
@@ -187,20 +210,13 @@ func (e *lsEngine) union(a, b *lsNode) *lsNode {
 	return r
 }
 
-// lsNodeOf reads the engine node parked in v's storage-layer Sol slot
-// (nil when no pass has evaluated v yet).
-func lsNodeOf(v *Var) *lsNode {
-	n, _ := v.Sol.Node.(*lsNode)
-	return n
-}
-
 // evalVar computes y's least-solution node from its (already cleaned,
 // hence canonical) adjacency. The walk settles every variable predecessor
 // before y, so each one's node is already up to date.
-func (e *lsEngine) evalVar(y *Var) *lsNode {
-	n := e.leaf(y.PredS.List())
-	for _, x := range y.PredV.List() {
-		n = e.union(n, lsNodeOf(x))
+func (s *System) evalVar(e *lsEngine, y int32) int32 {
+	n := e.leaf(s.store.TermIDs(y, graph.PredS))
+	for _, x := range s.store.Vars(y, graph.PredV) {
+		n = e.union(n, s.ls[x].node)
 	}
 	return n
 }
@@ -208,12 +224,12 @@ func (e *lsEngine) evalVar(y *Var) *lsNode {
 // lsFrame is one variable on the walk's explicit stack; next indexes the
 // first predecessor the walk has not yet checked.
 type lsFrame struct {
-	v    *Var
-	next int
+	v    int32
+	next int32
 }
 
-// runLeastSolutionPass brings every canonical variable's lsNode up to
-// date with the current graph version. See the file comment for the
+// runLeastSolutionPass brings every canonical variable's solution node up
+// to date with the current graph version. See the file comment for the
 // design. Callers have checked Form == IF and staleness.
 func (s *System) runLeastSolutionPass() {
 	start := time.Now()
@@ -224,7 +240,7 @@ func (s *System) runLeastSolutionPass() {
 	e := s.lsEngine
 	hits0, misses0 := e.hits, e.misses
 
-	// Post-order walk over PredV from each live variable in store order.
+	// Post-order walk over PredV from each live variable in id order.
 	// A variable is canonicalised when the walk reaches it and settled
 	// once its predecessors are: its level in the predecessor DAG is
 	// 1 + the highest predecessor level (reported as ls_levels), and it
@@ -232,51 +248,53 @@ func (s *System) runLeastSolutionPass() {
 	// or has a predecessor in the cone; a cone member is re-evaluated.
 	// Every stored predecessor strictly precedes its variable in o(·), so
 	// the walk meets no cycle and its stack is at most levels deep. The
-	// walk state lives in Var.Mark: below reached means not yet reached
-	// this pass, and inCone marks a settled cone member.
+	// walk state lives in the per-id marks: below reached means not yet
+	// reached this pass, and inCone marks a settled cone member.
+	st := &s.store
 	reached := s.nextMarks(2)
 	inCone := reached + 1
+	marks, ls := s.marks, s.ls
 	var maxLevel int32
 	cone := 0
 	stack := e.stack[:0]
-	for _, root := range s.store.Live() {
-		if root.Forwarded() || root.Mark >= reached {
+	for root := range int32(st.NumIDs()) {
+		if st.Forwarded(root) || marks[root] >= reached {
 			continue
 		}
-		s.store.Clean(root)
-		root.Mark = reached
+		st.Clean(root)
+		marks[root] = reached
 		stack = append(stack, lsFrame{v: root})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			preds := f.v.PredV.List()
-			for f.next < len(preds) && preds[f.next].Mark >= reached {
+			preds := st.Vars(f.v, graph.PredV)
+			for int(f.next) < len(preds) && marks[preds[f.next]] >= reached {
 				f.next++
 			}
-			if f.next < len(preds) {
+			if int(f.next) < len(preds) {
 				x := preds[f.next]
-				s.store.Clean(x)
-				x.Mark = reached
+				st.Clean(x)
+				marks[x] = reached
 				stack = append(stack, lsFrame{v: x})
 				continue
 			}
 			y := f.v
 			stack = stack[:len(stack)-1]
 			lv := int32(0)
-			rec := full || y.Sol.Node == nil || y.Sol.Pending
+			rec := full || ls[y].node == noNode || ls[y].pending
 			for _, x := range preds {
-				if x.Sol.Level >= lv {
-					lv = x.Sol.Level + 1
+				if ls[x].level >= lv {
+					lv = ls[x].level + 1
 				}
-				if x.Mark == inCone {
+				if marks[x] == inCone {
 					rec = true
 				}
 			}
-			y.Sol.Level = lv
+			ls[y].level = lv
 			maxLevel = max(maxLevel, lv)
 			if rec {
-				y.Mark = inCone
+				marks[y] = inCone
 				cone++
-				y.Sol.Node = e.evalVar(y)
+				ls[y].node = s.evalVar(e, y)
 			}
 		}
 	}
@@ -284,7 +302,7 @@ func (s *System) runLeastSolutionPass() {
 	levels := int(maxLevel) + 1
 
 	for _, v := range s.lsPending {
-		v.Sol.Pending = false
+		ls[v].pending = false
 	}
 	s.lsPending = s.lsPending[:0]
 	s.lsVersion = s.graphVersion
@@ -301,7 +319,7 @@ func (s *System) runLeastSolutionPass() {
 			Duration:    time.Since(start),
 			Levels:      levels,
 			ConeVars:    cone,
-			TotalVars:   s.store.NumLive(),
+			TotalVars:   st.NumLive(),
 			UnionHits:   e.hits - hits0,
 			UnionMisses: e.misses - misses0,
 		})
@@ -315,10 +333,10 @@ func (s *System) runLeastSolutionPass() {
 // snapshot caches and the drain-order fingerprint still key on the
 // version. Redundant edge additions never reach this, which is what keeps
 // the cache hot under re-adds.
-func (s *System) markLS(y *Var) {
+func (s *System) markLS(y int32) {
 	s.graphVersion++
-	if s.opt.Form != SF && !y.Sol.Pending {
-		y.Sol.Pending = true
+	if s.opt.Form != SF && !s.ls[y].pending {
+		s.ls[y].pending = true
 		s.lsPending = append(s.lsPending, y)
 	}
 }

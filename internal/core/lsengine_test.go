@@ -194,11 +194,9 @@ func TestLSParallelPass(t *testing.T) {
 		t.Fatalf("LSPasses = %d, want 1", got)
 	}
 	indexed := 0
-	for _, bucket := range s.lsEngine.interned {
-		for _, n := range bucket {
-			if n.index != nil {
-				indexed++
-			}
+	for _, n := range s.lsEngine.nodes[emptyNode+1:] {
+		if n.index != nil {
+			indexed++
 		}
 	}
 	if indexed == 0 {
@@ -316,7 +314,7 @@ func TestLSIncrementalCountersPinned(t *testing.T) {
 // TestLSPassKeepsClosureCounters solves one IF-Online script twice, once
 // computing least solutions after every constraint and once never. The
 // least-solution walk and the online chain search both keep their visit
-// state in Var.Mark, so neither may read a mark the other left as its
+// state in the per-id marks, so neither may read a mark the other left as its
 // own: every closure counter must repeat, and the interleaved passes
 // must end at the reference least solutions. The retractable variant
 // also retracts every seventh batch, which resets marks.

@@ -94,12 +94,9 @@ func NewIntersection(exprs ...Expr) *Intersection {
 	return graph.NewIntersection(exprs...)
 }
 
-// find follows forwarding pointers to v's representative, compressing the
+// find follows forwarding parents to v's representative, compressing the
 // path as it goes.
 func find(v *Var) *Var { return graph.Find(v) }
-
-// before reports whether a precedes b in the total order o(·).
-func before(a, b *Var) bool { return graph.Before(a, b) }
 
 // isZero reports whether e is the Zero singleton.
 func isZero(e Expr) bool { return graph.IsZero(e) }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"polce/internal/core/graph"
 )
 
 // TestLSMonotonic: adding constraints can only grow least solutions.
@@ -221,19 +223,20 @@ func TestHybridSetEdgeCountsAcrossConfigs(t *testing.T) {
 			seenSrc := map[*Var]map[*Term]bool{}
 			seenSnk := map[*Var]map[*Term]bool{}
 			for _, v := range s1.CanonicalVars() {
-				for _, w := range v.SuccV.Compact(v) {
+				s1.store.Clean(v.DenseID())
+				for _, w := range varsOf(s1, v, graph.SuccV) {
 					if v == w {
 						t.Fatalf("seed %d: self succ edge survived compaction", seed)
 					}
 					seenVV[[2]*Var{v, w}] = true
 				}
-				for _, w := range v.PredV.Compact(v) {
+				for _, w := range varsOf(s1, v, graph.PredV) {
 					seenVV[[2]*Var{w, v}] = true
 				}
 				if seenSrc[v] == nil {
 					seenSrc[v] = map[*Term]bool{}
 				}
-				for _, tm := range s1.store.Terms(v.PredS.List()) {
+				for _, tm := range s1.store.Terms(s1.store.TermIDs(v.DenseID(), graph.PredS)) {
 					if seenSrc[v][tm] {
 						t.Fatalf("seed %d: duplicate source edge", seed)
 					}
@@ -242,7 +245,7 @@ func TestHybridSetEdgeCountsAcrossConfigs(t *testing.T) {
 				if seenSnk[v] == nil {
 					seenSnk[v] = map[*Term]bool{}
 				}
-				for _, tm := range s1.store.Terms(v.SuccK.List()) {
+				for _, tm := range s1.store.Terms(s1.store.TermIDs(v.DenseID(), graph.SuccK)) {
 					if seenSnk[v][tm] {
 						t.Fatalf("seed %d: duplicate sink edge", seed)
 					}

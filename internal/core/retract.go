@@ -108,7 +108,7 @@ type retractCon struct{ l, r Expr }
 type batchRecord struct {
 	id      uint64
 	cons    []retractCon
-	touched []*Var // footprint in first-touch order, each variable once
+	touched []int32 // footprint in first-touch order, each variable once
 
 	inserted  int // fresh edge insertions (including edges consumed by a collapse)
 	collapses int // collapses this batch triggered
@@ -137,7 +137,7 @@ type retractState struct {
 	// whose footprint holds the variable, in touch order. Only the open
 	// batch appends, so a batch that already touched a variable is its
 	// last entry.
-	footprint map[*Var][]*batchRecord
+	footprint map[int32][]*batchRecord
 
 	// errBatch runs parallel to System.errs: the batch id each retained
 	// error is attributed to (0 when recorded outside any batch).
@@ -152,12 +152,12 @@ type retractState struct {
 func newRetractState() *retractState {
 	return &retractState{
 		batches:   make(map[uint64]*batchRecord),
-		footprint: make(map[*Var][]*batchRecord),
+		footprint: make(map[int32][]*batchRecord),
 	}
 }
 
 // touch adds v to the open batch b's footprint, once.
-func (r *retractState) touch(b *batchRecord, v *Var) {
+func (r *retractState) touch(b *batchRecord, v int32) {
 	bs := r.footprint[v]
 	if n := len(bs); n > 0 && bs[n-1] == b {
 		return
@@ -222,13 +222,13 @@ func (s *System) EndBatch() {
 // s.retract so the non-retractable hot path pays one branch per site.
 
 // attempt records one edge attempt by the open batch: its variable
-// endpoints join the footprint (x alone for a source or sink edge, x and
-// y for a variable edge x ⊆ y), and a fresh attempt counts as a mutation.
-// That includes a fresh variable edge the online search consumes
+// endpoints join the footprint (x alone for a source or sink edge, with y
+// -1; x and y for a variable edge x ⊆ y), and a fresh attempt counts as a
+// mutation. That includes a fresh variable edge the online search consumes
 // (collapsing instead of inserting): the collapse hook adds the merged
 // variables, and the inserted counter keeps the batch off the no-op fast
 // path. A fresh attempt with no batch open taints the system.
-func (r *retractState) attempt(x, y *Var, fresh bool) {
+func (r *retractState) attempt(x, y int32, fresh bool) {
 	b := r.active
 	if b == nil {
 		if fresh {
@@ -237,7 +237,7 @@ func (r *retractState) attempt(x, y *Var, fresh bool) {
 		return
 	}
 	r.touch(b, x)
-	if y != nil {
+	if y >= 0 {
 		r.touch(b, y)
 	}
 	if fresh {
@@ -245,7 +245,7 @@ func (r *retractState) attempt(x, y *Var, fresh bool) {
 	}
 }
 
-func (s *System) retractCollapse(witness *Var, merged []*Var) {
+func (s *System) retractCollapse(witness int32, merged []int32) {
 	r := s.retract
 	b := r.active
 	if b == nil {
@@ -376,7 +376,7 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	for _, b := range queue {
 		dirtyBatches[b.id] = b
 	}
-	var dirtyVars []*Var
+	var dirtyVars []int32
 	for len(queue) > 0 {
 		b := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -409,7 +409,7 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	// drop the dirty batches' errors, and invalidate the dirty cone's
 	// least-solution entries.
 	for _, v := range dirtyVars {
-		s.store.ResetVar(v)
+		s.resetVar(v)
 	}
 	for _, b := range dirtyBatches {
 		if b.errs > 0 {
@@ -449,6 +449,19 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	rep.Duration = time.Since(start)
 	s.finishRetract(rep)
 	return rep, nil
+}
+
+// resetVar returns v to its freshly-created state: the store releases
+// its adjacency and un-forwards it, and its search mark and
+// least-solution slot are zeroed. Only the slot's pending mark survives:
+// it records that the engine already lists v for its next pass, and the
+// list outlives the reset.
+func (s *System) resetVar(v int32) {
+	s.store.ResetVar(v)
+	s.marks[v] = 0
+	if s.opt.Form != SF {
+		s.ls[v] = lsSlot{pending: s.ls[v].pending}
+	}
 }
 
 // removeBatches deletes the retracted batches' records.

@@ -5,13 +5,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"polce/internal/core/graph"
 )
 
 // This file is the differential gate on the storage layer's lazy
-// compaction. Collapses leave eliminated variables in the live list and
-// stale aliases in adjacency sets; whole-graph walks compact them away
-// (the store's live-list compaction and Clean's adjacency
-// canonicalisation). When that happens must be invisible: a run that
+// compaction. Collapses leave stale aliases in adjacency sets; whole-graph
+// walks compact them away (Clean's adjacency canonicalisation, which also
+// releases a set that compacts to nothing). When that happens must be
+// invisible: a run that
 // forces compaction after every constraint must be observationally
 // *bit-identical* to one that leaves it lazy — same Stats counters, same
 // collapse partition, same edge counts, same graph version, same least
@@ -20,8 +22,7 @@ import (
 // stay stable across commits.
 
 // runScriptCompacting is runScript with compaction forced after every
-// constraint: EdgeCounts compacts the live list and canonicalises every
-// live variable's adjacency.
+// constraint: EdgeCounts canonicalises every live variable's adjacency.
 func runScriptCompacting(opt Options, ops []scriptOp) (*System, []*Var) {
 	s := NewSystem(opt)
 	var vars []*Var
@@ -113,8 +114,8 @@ func TestCSRBitIdenticalOffline(t *testing.T) {
 }
 
 // TestCSRCompactionPreservesGraph forces compaction mid-run and checks
-// the graph is unchanged: compaction drops eliminated variables and stale
-// adjacency entries, never content.
+// the graph is unchanged: compaction drops stale adjacency entries, never
+// content.
 func TestCSRCompactionPreservesGraph(t *testing.T) {
 	stale := 0
 	for seed := int64(0); seed < 4; seed++ {
@@ -132,7 +133,7 @@ func TestCSRCompactionPreservesGraph(t *testing.T) {
 			}
 			before, n := canonicalGraph(s)
 			stale += n
-			s.EdgeCounts() // compacts the live list and every adjacency set
+			s.EdgeCounts() // compacts every adjacency set
 			after, left := canonicalGraph(s)
 			if left != 0 {
 				t.Fatalf("seed=%d op %d: %d stale entries survived compaction", seed, i, left)
@@ -177,11 +178,12 @@ func canonicalGraph(s *System) (string, int) {
 		if v.Forwarded() {
 			continue
 		}
-		src, snk := slices.Clone(v.PredS.List()), slices.Clone(v.SuccK.List())
+		id := v.DenseID()
+		src, snk := slices.Clone(s.store.TermIDs(id, graph.PredS)), slices.Clone(s.store.TermIDs(id, graph.SuccK))
 		slices.Sort(src)
 		slices.Sort(snk)
 		fmt.Fprintf(&b, "v%d pred %v succ %v src %v snk %v\n",
-			v.ID(), canon(v, v.PredV.List()), canon(v, v.SuccV.List()), src, snk)
+			v.ID(), canon(v, varsOf(s, v, graph.PredV)), canon(v, varsOf(s, v, graph.SuccV)), src, snk)
 	}
 	return b.String(), stale
 }

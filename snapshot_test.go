@@ -243,7 +243,7 @@ func TestCSRSnapshotsDuringCompaction(t *testing.T) {
 					s.AddConstraint(vars[base], vars[(base+blockLen)%nVars])
 				}
 				// Online elimination is partial by design; the offline pass
-				// collapses the cycles it missed and compacts the live list.
+				// collapses the cycles it missed.
 				s.CollapseCycles()
 			}()
 
