@@ -31,6 +31,7 @@ type Type struct {
 	Ret      *Type   // function return type
 	Params   []*Type // function parameter types
 	Variadic bool    // function declared with ...
+	Union    bool    // a TStruct spelled union
 	Tag      string  // struct/union tag or typedef spelling
 	Size     Expr    // array size expression, nil when omitted
 }
@@ -70,6 +71,9 @@ func (t *Type) String() string {
 	case TArray:
 		return t.Elem.String() + "[]"
 	case TStruct:
+		if t.Union {
+			return "union " + t.Tag
+		}
 		return "struct " + t.Tag
 	case TFunc:
 		s := t.Ret.String() + "("

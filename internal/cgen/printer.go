@@ -7,12 +7,10 @@ import (
 
 // This file renders ASTs back to compilable C. The printer is conservative
 // with parentheses (every nested operator is parenthesised), which keeps
-// it trivially correct. Parentheses leave no AST node, so re-parsing a
-// printed file and printing it again gives the same text for the programs
-// the tests print and for every cleanly parsing mutation that
-// TestParseNeverPanicsOnMutations draws. Not for every input: an untagged
-// struct type prints as `struct ` with an empty tag, so `struct int A() {}`
-// prints as `struct  A() {}`, whose re-parse reads A as the tag.
+// it trivially correct. Parentheses leave no AST node and every record
+// type carries a tag (the parser names untagged bodies), so re-parsing a
+// cleanly parsed file's print and printing it again gives the same text:
+// FuzzParse and TestParseNeverPanicsOnMutations check this.
 
 // Print renders a translation unit.
 func Print(f *File) string {
